@@ -31,7 +31,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--budget", type=int, default=10**5, help="annealing move budget")
     ap.add_argument("--v-cap", type=int, default=6, help="host order cap for the sweep")
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args(argv)
 
     header = f"{'pattern':8} {'n':>3} {'maximizer':>10} {'copies':>7} {'score':>16} {'anneal':>10} {'moves':>6} {'agree':>6}"
@@ -40,10 +39,9 @@ def main(argv=None) -> int:
     for label, pattern, n, seed in CASES:
         q = q_min(pattern, n).threshold
         t0 = time.monotonic()
-        sweep = exhaustive_sweep(n, q, pattern, v_cap=args.v_cap, threads=args.threads)
+        sweep = exhaustive_sweep(n, q, pattern, v_cap=args.v_cap)
         result = extremal_search(
-            n, q, pattern,
-            budget=args.budget, seed=seed, host_cap=args.v_cap, threads=args.threads,
+            n, q, pattern, budget=args.budget, seed=seed, host_cap=args.v_cap
         )
         best = result.entries[0]
         agree = score_pair_cmp(

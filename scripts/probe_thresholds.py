@@ -43,7 +43,6 @@ def main(argv=None) -> int:
                     help="comma list from: " + ",".join(PATTERNS))
     ap.add_argument("--trials", type=int, default=2000, help="samples per probe")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=4)
     args = ap.parse_args(argv)
 
     names = [s.strip() for s in args.patterns.split(",") if s.strip()]
@@ -59,7 +58,7 @@ def main(argv=None) -> int:
         plan = TrialPlan(
             n=args.n, pattern=pattern, trials=args.trials, seed=args.seed
         )
-        est = estimate_pc(plan, threads=args.threads)
+        est = estimate_pc(plan)
         lo = decimal_enclosure(est.interval[0], 4)[0]
         hi = decimal_enclosure(est.interval[1], 4)[1]
         ordered = value_cmp(pe.threshold, qm.threshold) <= 0

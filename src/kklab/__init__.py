@@ -102,7 +102,7 @@ from .search import (
     extremal_search,
     score_pair_cmp,
 )
-from .util import PreconditionError, parallel_map
+from .util import PreconditionError
 from .verifier import (
     EllHatResult,
     FitRecord,

@@ -9,7 +9,8 @@ and ``--format text`` gives a flat key = value rendering.
 
 Exit codes: 0 success, 1 usage or input errors (unknown flag,
 unreadable file, malformed graph), 2 precondition violations with the
-witness printed to stderr, 3 resource-guard refusals.
+witness printed to stderr, 3 resource-guard refusals.  Any other failure
+is a defect and surfaces as an uncaught exception.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import pathlib
 import re
 import sys
@@ -339,24 +339,16 @@ def _cmd_count(args):
     if args.pattern is not None:
         pattern = load_graph(args.pattern)
         if args.labeled:
-            value = count_labeled(
-                host, pattern, node_budget=args.node_budget, threads=args.threads
-            )
+            value = count_labeled(host, pattern, node_budget=args.node_budget)
         else:
-            value = count_copies(
-                host, pattern, node_budget=args.node_budget, threads=args.threads
-            )
+            value = count_copies(host, pattern, node_budget=args.node_budget)
     else:
         if args.param is None:
             raise _InputError("--family requires --param")
         if args.family == "clique":
-            value = count_cliques(
-                host, args.param, node_budget=args.node_budget, threads=args.threads
-            )
+            value = count_cliques(host, args.param, node_budget=args.node_budget)
         elif args.family == "cycle":
-            value = count_cycles(
-                host, args.param, node_budget=args.node_budget, threads=args.threads
-            )
+            value = count_cycles(host, args.param, node_budget=args.node_budget)
         else:
             if args.x is None or args.y is None:
                 raise _InputError("--family xy-path requires --x and --y")
@@ -406,16 +398,13 @@ def _cmd_qmin(args):
         edge_cap=args.edge_cap,
         heuristic_vertex_cap=args.heuristic_vertex_cap,
         digits=args.precision,
-        threads=args.threads,
     )
     return _sparsity_doc(report, "q_min", args.precision), None
 
 
 def _cmd_pe(args):
     host = load_graph(args.graph)
-    report = expectation_threshold(
-        host, args.n, edge_cap=args.edge_cap, digits=args.precision, threads=args.threads
-    )
+    report = expectation_threshold(host, args.n, edge_cap=args.edge_cap, digits=args.precision)
     return _sparsity_doc(report, "p_E", args.precision), None
 
 
@@ -461,7 +450,6 @@ def _cmd_required_l(args):
         args.q,
         digits=args.precision,
         node_budget=args.node_budget,
-        threads=args.threads,
     )
     return {
         "schema": SCHEMA,
@@ -491,8 +479,7 @@ def _cmd_verify_fit(args):
     host = load_graph(args.graph)
     pattern = load_graph(args.pattern)
     report = verify_fit_partition(
-        host, pattern, args.eps, args.d,
-        node_budget=args.node_budget, threads=args.threads,
+        host, pattern, args.eps, args.d, node_budget=args.node_budget
     )
     return _reports_doc([report]), None
 
@@ -513,8 +500,7 @@ def _cmd_verify_main(args):
     host = load_graph(args.graph)
     pattern = load_graph(args.pattern)
     report = verify_main_inequality(
-        host, pattern, args.n, args.q, args.L,
-        node_budget=args.node_budget, threads=args.threads,
+        host, pattern, args.n, args.q, args.L, node_budget=args.node_budget
     )
     return _reports_doc([report]), None
 
@@ -557,7 +543,7 @@ def _cmd_pc(args):
         tolerance=args.tol,
         confidence=args.confidence,
     )
-    result = estimate_pc(plan, threads=args.threads)
+    result = estimate_pc(plan)
     doc = {"schema": SCHEMA}
     doc.update(result.to_json())
     return doc, result.trace_csv()
@@ -599,7 +585,6 @@ def _cmd_search(args):
         host_cap=args.host_cap,
         chains=args.chains,
         top_k=args.top_k,
-        threads=args.threads,
         cooling=args.cooling,
         edge_cap=args.edge_cap,
         digits=args.precision,
@@ -616,7 +601,6 @@ def _cmd_sweep(args):
         args.q,
         pattern,
         v_cap=args.v_cap,
-        threads=args.threads,
         edge_cap=args.edge_cap,
         digits=args.precision,
     )
@@ -635,10 +619,6 @@ def _cmd_sweep(args):
 # -- parser ------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    return os.cpu_count() or 1
-
-
 def _add_common(p, graph=False, pattern=False, n=False, q=False, threads=False,
                 precision=False, node_budget=False, copy_cap=False, edge_cap=False,
                 seed=None):
@@ -653,8 +633,8 @@ def _add_common(p, graph=False, pattern=False, n=False, q=False, threads=False,
         p.add_argument("--q", type=_exact_value, required=(q == "required"), default=None,
                        help="probability: a/b, decimal, or root:V:K for V^(-1/K)")
     if threads:
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads; results do not depend on the value")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; kklab runs serially")
     if precision:
         p.add_argument("--precision", type=_precision, default=12,
                        help="decimal digits in enclosures (minimum 4)")
@@ -853,9 +833,6 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EdgeCapError, ResourceGuardError) as exc:
-        print(f"resource guard: {exc}", file=sys.stderr)
-        return 3
-    except RuntimeError as exc:
         print(f"resource guard: {exc}", file=sys.stderr)
         return 3
 

@@ -7,9 +7,10 @@ divide by the pattern's automorphisms.  Specialized counters for cliques,
 cycles, and fixed-endpoint paths follow canonical enumeration orders so
 each object is seen exactly once, and must agree with the generic oracle.
 
-All counters take an optional node budget.  When the upfront frontier
-estimate (a homomorphism-count DP for forests, a branching product
-otherwise) or the running node count exceeds it, counting refuses with
+All counters take an optional node budget, one per call, spent by a
+single serial walk, so a refusal never depends on how the work is run.
+When the running node count exceeds it (or, for the generic counter,
+the upfront frontier estimate does), counting refuses with
 ``ResourceGuardError`` rather than returning a truncated value.
 """
 
@@ -18,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from .graphs import Graph, automorphism_count, degeneracy_order
-from .util import iter_bits, parallel_map
+from .util import iter_bits
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_COPY_CAP = 200_000
@@ -76,11 +77,14 @@ def _match_plan(pattern: Graph) -> list:
 
 
 def frontier_estimate(host: Graph, pattern: Graph) -> int:
-    """Upper bound on backtracking nodes for embedding ``pattern`` in ``host``.
+    """Refusal heuristic for the work of embedding ``pattern`` in ``host``.
 
     Forests get a homomorphism-count DP (homs dominate embeddings); other
-    patterns get a branching product.  Used only to refuse oversized work,
-    never reported as a count.
+    patterns get a branching product.  Neither is a bound on backtracking
+    nodes (the walk also visits dead-end partial embeddings: K3 in K6
+    estimates 150 and visits 156).  It only refuses hopeless work up
+    front and is never reported as a count; the hard guard is the running
+    node budget, which refuses as soon as the walk exceeds it.
     """
     if pattern.n == 0:
         return 1
@@ -120,7 +124,7 @@ def _forest_hom_count(host: Graph, pattern: Graph) -> int:
     return total
 
 
-def _run_embedding(host: Graph, pattern: Graph, budget, on_hit, threads=1):
+def _run_embedding(host: Graph, pattern: Graph, budget, on_hit):
     """Shared backtracking core; calls on_hit(assignment) per embedding.
 
     on_hit returning True stops the search early.  Returns the number of
@@ -168,58 +172,11 @@ def _run_embedding(host: Graph, pattern: Graph, budget, on_hit, threads=1):
 
     if k == 0:
         return 0
-    if threads > 1 and k > 1:
-        roots = list(iter_bits(candidates(0, 0)))
-
-        def from_root(w):
-            sub_budget = _Budget(budget.limit)
-            local_hits = 0
-            local_assign = [0] * k
-            local_assign[0] = w
-
-            def cand(idx, used):
-                _, earlier = plan[idx]
-                if earlier:
-                    mask = adj[local_assign[earlier[0]]]
-                    for p in earlier[1:]:
-                        mask &= adj[local_assign[p]]
-                    mask &= ~used & nmask
-                else:
-                    mask = ~used & nmask
-                need = degs_p[idx]
-                if need:
-                    out = 0
-                    for x in iter_bits(mask):
-                        if adj[x].bit_count() >= need:
-                            out |= 1 << x
-                    return out
-                return mask
-
-            def go(idx, used):
-                nonlocal local_hits
-                for x in iter_bits(cand(idx, used)):
-                    sub_budget.spend()
-                    local_assign[idx] = x
-                    if idx + 1 == k:
-                        local_hits += 1
-                        on_hit(tuple(local_assign))
-                    else:
-                        go(idx + 1, used | 1 << x)
-
-            sub_budget.spend()
-            go(1, 1 << w)
-            return local_hits
-
-        per_root = parallel_map(from_root, roots, threads)
-        return sum(per_root)
-
     walk(0, 0)
     return hits
 
 
-def count_labeled(
-    host: Graph, pattern: Graph, node_budget=None, threads: int = 1
-) -> int:
+def count_labeled(host: Graph, pattern: Graph, node_budget=None) -> int:
     """Number of labeled embeddings of ``pattern`` into ``host``."""
     if pattern.n == 0:
         raise ValueError("pattern needs at least one vertex")
@@ -230,7 +187,7 @@ def count_labeled(
         raise ResourceGuardError(
             f"frontier estimate exceeds node budget {budget.limit}"
         )
-    return _run_embedding(host, pattern, budget, lambda a: False, threads=threads)
+    return _run_embedding(host, pattern, budget, lambda a: False)
 
 
 def iter_labeled(host: Graph, pattern: Graph, node_budget=None):
@@ -270,9 +227,10 @@ def count_copies(host: Graph, pattern: Graph, node_budget=None, threads: int = 1
     """Number of distinct subgraphs of ``host`` isomorphic to ``pattern``.
 
     Labeled embeddings divided by pattern automorphisms; this is the generic
-    oracle the specialized counters are checked against.
+    oracle the specialized counters are checked against.  ``threads`` is
+    accepted for compatibility and ignored: counting runs serially.
     """
-    labeled = count_labeled(host, pattern, node_budget=node_budget, threads=threads)
+    labeled = count_labeled(host, pattern, node_budget=node_budget)
     aut = automorphism_count(pattern)
     if labeled % aut:
         raise AssertionError("labeled count not divisible by automorphisms")
@@ -282,7 +240,7 @@ def count_copies(host: Graph, pattern: Graph, node_budget=None, threads: int = 1
 # -- specialized counters -----------------------------------------------------
 
 
-def count_cliques(host: Graph, r: int, node_budget=None, threads: int = 1) -> int:
+def count_cliques(host: Graph, r: int, node_budget=None) -> int:
     """Number of r-cliques, by ascending-id recursion after degeneracy relabeling."""
     if r < 1:
         raise ValueError("clique order must be >= 1")
@@ -312,35 +270,10 @@ def count_cliques(host: Graph, r: int, node_budget=None, threads: int = 1) -> in
                 total += rec(m & adj[u], t - 1)
         return total
 
-    if threads > 1:
-        full = rel.vertex_mask()
-        roots = list(range(rel.n))
-
-        def from_root(u):
-            b = _Budget(budget.limit)
-
-            def rec_local(mask, t):
-                if t == 1:
-                    return mask.bit_count()
-                total = 0
-                m = mask
-                while m:
-                    low = m & -m
-                    w = low.bit_length() - 1
-                    m ^= low
-                    b.spend()
-                    if (m & adj[w]).bit_count() >= t - 1:
-                        total += rec_local(m & adj[w], t - 1)
-                return total
-
-            higher = full & ~((1 << (u + 1)) - 1)
-            return rec_local(adj[u] & higher, r - 1)
-
-        return sum(parallel_map(from_root, roots, threads))
     return rec(rel.vertex_mask(), r)
 
 
-def count_cycles(host: Graph, k: int, node_budget=None, threads: int = 1) -> int:
+def count_cycles(host: Graph, k: int, node_budget=None) -> int:
     """Number of k-cycles; each cycle seen once, rooted at its minimum vertex
     and oriented toward the smaller of the root's two cycle neighbors."""
     if k < 3:
@@ -349,10 +282,10 @@ def count_cycles(host: Graph, k: int, node_budget=None, threads: int = 1) -> int
         return 0
     adj = host.adj
     budget = _Budget(node_budget)
-
-    def from_root(r: int) -> int:
-        higher = host.vertex_mask() & ~((1 << (r + 1)) - 1)
-        total = 0
+    full = host.vertex_mask()
+    total = 0
+    for r in range(host.n):
+        higher = full & ~((1 << (r + 1)) - 1)
 
         def dfs(u: int, visited: int, depth: int, first: int) -> int:
             budget.spend()
@@ -365,9 +298,7 @@ def count_cycles(host: Graph, k: int, node_budget=None, threads: int = 1) -> int
 
         for a in iter_bits(adj[r] & higher):
             total += dfs(a, 1 << a, 1, a)
-        return total
-
-    return sum(parallel_map(from_root, range(host.n), threads))
+    return total
 
 
 def count_xy_paths(host: Graph, x: int, y: int, edges: int, node_budget=None) -> int:

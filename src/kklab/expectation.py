@@ -35,7 +35,7 @@ from .exact import (
     value_root,
 )
 from .graphs import Graph, automorphism_count, to_graph6
-from .util import PreconditionError, parallel_map
+from .util import PreconditionError
 
 DEFAULT_EDGE_CAP = 24
 DEFAULT_HEURISTIC_VERTEX_CAP = 8
@@ -227,30 +227,9 @@ def _scan_block(H: Graph, lo: int, hi: int) -> dict:
     return classes
 
 
-def _merge_classes(blocks) -> dict:
-    out = {}
-    for block in blocks:
-        for key, (count, tup) in block.items():
-            cur = out.get(key)
-            if cur is None:
-                out[key] = [count, tup]
-            else:
-                cur[0] += count
-                if tup < cur[1]:
-                    cur[1] = tup
-    return out
-
-
-def scan_subgraph_classes(H: Graph, threads: int = 1) -> dict:
+def scan_subgraph_classes(H: Graph) -> dict:
     """All nonempty edge subsets of H grouped by (v, e, aut)."""
-    m = H.edge_count
-    total = 1 << m
-    if threads > 1 and total >= 1 << 12:
-        step = -(-total // threads)
-        spans = [(i, min(i + step, total)) for i in range(0, total, step)]
-        blocks = parallel_map(lambda span: _scan_block(H, span[0], span[1]), spans, threads)
-        return _merge_classes(blocks)
-    return _scan_block(H, 0, total)
+    return _scan_block(H, 0, 1 << H.edge_count)
 
 
 FULL_TABLE_EDGE_CAP = 14
@@ -518,7 +497,6 @@ def _connected_classes(H: Graph, vertex_cap: int) -> dict:
     because disconnected subgraphs can dominate the maximum.
     """
     classes = {}
-    full = H.vertex_mask()
 
     def record(sub_edges, vmask):
         v = vmask.bit_count()
@@ -567,7 +545,6 @@ def _connected_classes(H: Graph, vertex_cap: int) -> dict:
     for v in range(H.n):
         if H.adj[v]:
             grow(1 << v, H.adj[v], (1 << v) - 1)
-    _ = full
     return classes
 
 
@@ -595,7 +572,6 @@ def q_min(
     edge_cap: int = DEFAULT_EDGE_CAP,
     heuristic_vertex_cap: int = DEFAULT_HEURISTIC_VERTEX_CAP,
     digits: int = DEFAULT_DIGITS,
-    threads: int = 1,
 ) -> SparsityReport:
     """Least q at which H is q-sparse, with the binding subgraph class."""
     _check_host(H, n)
@@ -610,7 +586,7 @@ def q_min(
             f"{edge_cap} edges; use mode='heuristic' for a flagged lower bound"
         )
     if H.edge_count <= FULL_TABLE_EDGE_CAP:
-        classes = scan_subgraph_classes(H, threads=threads)
+        classes = scan_subgraph_classes(H)
         return _build_report(H, n, 1, classes, digits)
     classes = _pruned_classes(H, n, 1)
     return _build_report(H, n, 1, classes, digits, table_complete=False)
@@ -621,7 +597,6 @@ def expectation_threshold(
     n: int,
     edge_cap: int = DEFAULT_EDGE_CAP,
     digits: int = DEFAULT_DIGITS,
-    threads: int = 1,
 ) -> SparsityReport:
     """Least p with every subgraph expectation at least 1/2 (threshold p_E)."""
     _check_host(H, n)
@@ -631,7 +606,7 @@ def expectation_threshold(
             f"{edge_cap} edges"
         )
     if H.edge_count <= FULL_TABLE_EDGE_CAP:
-        classes = scan_subgraph_classes(H, threads=threads)
+        classes = scan_subgraph_classes(H)
         return _build_report(H, n, 2, classes, digits)
     classes = _pruned_classes(H, n, 2)
     return _build_report(H, n, 2, classes, digits, table_complete=False)
@@ -785,7 +760,6 @@ def required_L(
     q,
     digits: int = DEFAULT_DIGITS,
     node_budget=None,
-    threads: int = 1,
     skip_sparsity_check: bool = False,
 ) -> RequiredL:
     """Scale factor solving N(H,F) = L^{e_F} * E_qX_F, exactly."""
@@ -801,7 +775,7 @@ def required_L(
                 f"{check.witness_edges}",
                 witness=check.witness,
             )
-    copies = count_copies(H, F, node_budget=node_budget, threads=threads)
+    copies = count_copies(H, F, node_budget=node_budget)
     expectation = expected_copies(n, q, F)
     if copies == 0:
         zero = Fraction(0)

@@ -1,11 +1,10 @@
 """Graph values and structural primitives.
 
 Vertices are dense 0-based ids.  A ``Graph`` is immutable: the sorted edge
-tuple and the per-vertex adjacency bitmasks describe the same relation and
-are safe to share across threads.  Isolated vertices are representable
-(``n`` may exceed the span of the edge list); they survive graph6 round
-trips, and the plain edge-list format carries them via an explicit
-``n=<k>`` header line.
+tuple and the per-vertex adjacency bitmasks describe the same relation.
+Isolated vertices are representable (``n`` may exceed the span of the
+edge list); they survive graph6 round trips, and the plain edge-list
+format carries them via an explicit ``n=<k>`` header line.
 
 Structural queries here are exact: density as a Fraction, maximum subgraph
 density via a parametric min-cut search cross-checked by subset

@@ -8,8 +8,8 @@ generators that emit graphs certified q-sparse, either by repairing a
 random sample or by checking a structured family.
 
 All randomness flows through counter-based streams derived from a master
-seed and a task label, so results are byte-identical no matter how trials
-are scheduled across threads.
+seed and a task label, so each trial's sample depends only on its label
+and seeded runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from statistics import NormalDist
 
-from .counting import contains
+from .counting import ResourceGuardError, contains
 from .exact import Root, format_fraction, value_cmp, value_mul
 from .expectation import SparseCheck, is_q_sparse
 from .graphs import (
@@ -35,7 +35,7 @@ from .graphs import (
     theta_graph,
     to_graph6,
 )
-from .util import PreconditionError, parallel_map
+from .util import PreconditionError
 
 DEFAULT_TRIALS = 2000
 DEFAULT_TOLERANCE = Fraction(1, 100)
@@ -47,8 +47,8 @@ GENERATOR_FAMILIES = ("gnp-repair", "clique-union", "theta", "spider", "path-pow
 def derive_rng(master_seed: int, *path) -> random.Random:
     """Independent RNG stream keyed by a master seed and a task path.
 
-    Hashing the label instead of sharing one generator keeps parallel
-    consumers reproducible regardless of scheduling order.
+    Hashing the label instead of sharing one generator makes each
+    consumer's stream depend only on its label, not on what ran before it.
     """
     tag = "|".join(str(part) for part in (master_seed,) + path)
     digest = hashlib.sha256(tag.encode("utf-8")).digest()
@@ -189,13 +189,11 @@ def wilson_interval(successes: int, trials: int, confidence: float) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _probe_successes(plan: TrialPlan, p: Fraction, probe_idx: int, threads: int) -> int:
-    def one_trial(t: int) -> bool:
-        rng = derive_rng(plan.seed, "pc", probe_idx, t)
-        return contains(sample_gnp(plan.n, p, rng), plan.pattern)
-
-    flags = parallel_map(one_trial, range(plan.trials), threads)
-    return sum(1 for hit in flags if hit)
+def _probe_successes(plan: TrialPlan, p: Fraction, probe_idx: int) -> int:
+    return sum(
+        contains(sample_gnp(plan.n, p, derive_rng(plan.seed, "pc", probe_idx, t)), plan.pattern)
+        for t in range(plan.trials)
+    )
 
 
 def estimate_pc(plan: TrialPlan, threads: int = 1) -> EstimateResult:
@@ -206,14 +204,15 @@ def estimate_pc(plan: TrialPlan, threads: int = 1) -> EstimateResult:
     tolerance.  The reported interval inverts the per-probe Wilson bounds
     through monotonicity: its low end is the largest probe shown below the
     crossing with confidence, its high end the smallest probe shown above.
-    That interval always contains the point estimate.
+    That interval always contains the point estimate.  ``threads`` is
+    accepted for compatibility and ignored: trials run serially.
     """
     lo, hi = Fraction(0), Fraction(1)
     probes = []
     probe_idx = 0
     while hi - lo >= plan.tolerance:
         p = (lo + hi) / 2
-        successes = _probe_successes(plan, p, probe_idx, threads)
+        successes = _probe_successes(plan, p, probe_idx)
         w_lo, w_hi = wilson_interval(successes, plan.trials, plan.confidence)
         probes.append(Probe(p, successes, plan.trials, w_lo, w_hi))
         if 2 * successes >= plan.trials:
@@ -267,7 +266,7 @@ def _gnp_repair(n: int, q, rng: random.Random, params: dict, repair_budget) -> G
         if check.sparse:
             return g
         if repair_budget is not None and steps >= repair_budget:
-            raise RuntimeError(
+            raise ResourceGuardError(
                 f"sparsity repair did not converge within {repair_budget} removals"
             )
         drop = _repair_edge(g, check.witness_edges)

@@ -49,8 +49,8 @@ from .graphs import (
     parse_graph6,
     to_graph6,
 )
-from .montecarlo import derive_rng
-from .util import PreconditionError, parallel_map
+from .montecarlo import _repair_edge, derive_rng
+from .util import PreconditionError
 
 DEFAULT_HOST_CAP = 12
 DEFAULT_TOP_K = 5
@@ -90,21 +90,6 @@ def _check_pattern(F: Graph) -> None:
         raise PreconditionError("pattern needs at least one edge")
 
 
-def _is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return False
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        for v in range(g.n):
-            if frontier >> v & 1:
-                nxt |= g.adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen.bit_count() == g.n
-
-
 def _make_counter(F: Graph):
     """Route clique and cycle patterns to their specialized counters."""
     if F.n >= 2 and F.edge_count == math.comb(F.n, 2):
@@ -114,7 +99,7 @@ def _make_counter(F: Graph):
         F.n >= 3
         and F.edge_count == F.n
         and all(d == 2 for d in F.degrees())
-        and _is_connected(F)
+        and F.is_connected()
     ):
         k = F.n
         return lambda H: count_cycles(H, k)
@@ -224,7 +209,8 @@ def exhaustive_sweep(
     and return the exact maximizer of required_L with its score enclosure.
 
     Ties in the copy count go to the smallest graph6 string, so reruns and
-    the annealer agree on one canonical winner.
+    the annealer agree on one canonical winner.  ``threads`` is accepted
+    for compatibility and ignored: candidates are examined serially.
     """
     if not 1 <= v_cap <= SWEEP_VERTEX_CAP:
         raise PreconditionError(f"v_cap={v_cap} outside [1, {SWEEP_VERTEX_CAP}]")
@@ -240,7 +226,7 @@ def exhaustive_sweep(
         return (counter(g), to_graph6(g), g)
 
     candidates = [g for v in range(1, v_cap + 1) for g in graphs_on(v)]
-    results = parallel_map(examine, candidates, threads)
+    results = [examine(g) for g in candidates]
     best = None
     sparse_count = 0
     for row in results:
@@ -327,15 +313,6 @@ class SearchResult:
         }
 
 
-def _witness_drop(witness_edges: tuple) -> tuple:
-    # same heuristic as the generator repair: peel where the witness is thickest
-    deg: dict = {}
-    for a, b in witness_edges:
-        deg[a] = deg.get(a, 0) + 1
-        deg[b] = deg.get(b, 0) + 1
-    return min(witness_edges, key=lambda e: (-(deg[e[0]] + deg[e[1]]), e))
-
-
 class _SparsityOracle:
     """Move-loop sparsity scans with verdicts memoized per (v, e, aut).
 
@@ -394,9 +371,8 @@ class _SparsityOracle:
         return None
 
 
-def _chain_worker(args):
-    (n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooling,
-     edge_cap, safe_edges, e_float, report_strippable) = args
+def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooling,
+               edge_cap, safe_edges, e_float, report_strippable):
     rng = derive_rng(seed, "search", chain_idx)
     pairs = [(i, j) for i in range(host_cap) for j in range(i + 1, host_cap)]
     pair_bit = {pair: 1 << idx for idx, pair in enumerate(pairs)}
@@ -434,7 +410,7 @@ def _chain_worker(args):
             witness = oracle.first_violation(probe, ordered.index(toggled))
             if witness is None:
                 return frozenset(cand), None
-            drop = _witness_drop(witness)
+            drop = _repair_edge(probe, witness)
             if drop == toggled:
                 return None, "untoggle"
             cand.discard(drop)
@@ -567,8 +543,10 @@ def extremal_search(
     removal, or rejected when the repair would undo the toggle.  During
     warmup, downhill moves accept at one half; the initial temperature is
     then set to the median warmup loss so that acceptance continues near
-    one half, and cooling is geometric per accepted move.  Identical
-    arguments and seed give an identical leaderboard at any thread count.
+    one half, and cooling is geometric per accepted move.  Each chain
+    draws from its own seeded stream, so identical arguments and seed give
+    an identical leaderboard.  ``threads`` is accepted for compatibility
+    and ignored: chains run one after another.
     """
     _check_pattern(F)
     if budget < 0:
@@ -591,12 +569,11 @@ def extremal_search(
     report_strippable = all(F.adj[v] for v in range(F.n))
 
     base, extra = divmod(budget, chains)
-    tasks = [
-        (n, q, F, counter, base + (1 if idx < extra else 0), seed, idx, host_cap,
-         top_k, cooling, edge_cap, safe_edges, e_float, report_strippable)
+    outcomes = [
+        _run_chain(n, q, F, counter, base + (1 if idx < extra else 0), seed, idx, host_cap,
+                   top_k, cooling, edge_cap, safe_edges, e_float, report_strippable)
         for idx in range(chains)
     ]
-    outcomes = parallel_map(_chain_worker, tasks, threads)
 
     merged: dict = {}
     for chain_idx, (rows, _) in enumerate(outcomes):

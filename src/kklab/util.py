@@ -1,6 +1,4 @@
-"""Small shared helpers: bit iteration and deterministic parallel mapping."""
-
-from concurrent.futures import ThreadPoolExecutor
+"""Small shared helpers: bit iteration and the precondition error."""
 
 
 class PreconditionError(ValueError):
@@ -17,18 +15,3 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def parallel_map(fn, items, threads: int = 1) -> list:
-    """Map ``fn`` over ``items``, returning results in input order.
-
-    Work items must be independent and ``fn`` side-effect free.  With
-    ``threads > 1`` items are dispatched to a thread pool; because results
-    are collected in input order, any downstream reduction sees exactly the
-    same sequence as a single-threaded run.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))

@@ -36,7 +36,7 @@ from .exact import (
 )
 from .expectation import expected_copies, is_q_sparse, required_L
 from .graphs import Graph, max_density, to_graph6
-from .util import PreconditionError, iter_bits, parallel_map
+from .util import PreconditionError, iter_bits
 
 
 @dataclass(frozen=True)
@@ -461,33 +461,15 @@ def fit_decompose(H: Graph, F: Graph, copy, eps, d) -> FitRecord:
     return _fit_core(H, parents, f, copy, thr)
 
 
-def verify_fit_partition(
-    H: Graph, F: Graph, eps, d, node_budget=None, threads: int = 1
-) -> PropositionReport:
+def verify_fit_partition(H: Graph, F: Graph, eps, d, node_budget=None) -> PropositionReport:
     """Grouped fit classes over all labeled copies must total the labeled count."""
     eps, d = Fraction(eps), Fraction(d)
     Fn, _, parents, f = _prepare_tree(F)
     thr = _check_fit_threshold(Fn, eps, d)
-    copies = list(iter_labeled(H, Fn, node_budget=node_budget))
-
-    def classify_block(block) -> dict:
-        out = {}
-        for copy in block:
-            rec = _fit_core(H, parents, f, list(copy), thr)
-            key = rec.class_key
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    if threads > 1 and len(copies) >= 64:
-        step = -(-len(copies) // threads)
-        blocks = [copies[i : i + step] for i in range(0, len(copies), step)]
-        partial = parallel_map(classify_block, blocks, threads)
-        classes: dict = {}
-        for p in partial:
-            for key, cnt in p.items():
-                classes[key] = classes.get(key, 0) + cnt
-    else:
-        classes = classify_block(copies)
+    classes: dict = {}
+    for copy in iter_labeled(H, Fn, node_budget=node_budget):
+        key = _fit_core(H, parents, f, list(copy), thr).class_key
+        classes[key] = classes.get(key, 0) + 1
     labeled = count_labeled(H, Fn, node_budget=node_budget)
     total = sum(classes.values())
     table = [
@@ -628,7 +610,7 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
 
 
 def verify_main_inequality(
-    H: Graph, F: Graph, n: int, q, L, node_budget=None, threads: int = 1
+    H: Graph, F: Graph, n: int, q, L, node_budget=None
 ) -> PropositionReport:
     """Strict comparison N(H,F) < L^{e_F} * E_qX_F for a sparse host."""
     L = Fraction(L)
@@ -637,14 +619,11 @@ def verify_main_inequality(
     if F.edge_count < 1:
         raise PreconditionError("pattern must have at least one edge")
     _require_sparse(H, n, q)
-    copies = count_copies(H, F, node_budget=node_budget, threads=threads)
+    copies = count_copies(H, F, node_budget=node_budget)
     expectation = expected_copies(n, q, F)
     rhs = value_mul(L**F.edge_count, expectation)
     verdict = value_cmp(Fraction(copies), rhs) < 0
-    req = required_L(
-        H, F, n, q, node_budget=node_budget, threads=threads,
-        skip_sparsity_check=True,
-    )
+    req = required_L(H, F, n, q, node_budget=node_budget, skip_sparsity_check=True)
     inputs = _base_inputs(H, n, q)
     inputs["pattern6"] = to_graph6(F)
     inputs["L"] = str(L)

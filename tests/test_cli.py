@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from kklab import cli
 from kklab.cli import load_graph, main
 
 
@@ -196,3 +197,34 @@ class TestDeterminism:
         first = run(capsys, *argv)
         second = run(capsys, *argv)
         assert first[0] == 0 and first == second
+
+
+class TestRefusals:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("count", "--graph", "K8", "--family", "clique", "--param", "4", "--node-budget", "60"),
+            ("count", "--graph", "K6", "--pattern", "K3", "--node-budget", "150"),
+            ("count", "--graph", "K8", "--family", "cycle", "--param", "4", "--node-budget", "500"),
+        ],
+    )
+    def test_refusal_independent_of_threads(self, capsys, argv):
+        results = [run(capsys, *argv, "--threads", threads) for threads in ("1", "4")]
+        code, out, err = results[0]
+        assert code == 3 and out == "" and "resource guard" in err
+        assert results[1] == results[0]
+
+    def test_repair_budget_exhaustion_is_a_refusal(self, capsys):
+        code, _, err = run(
+            capsys, "gen", "--family", "gnp-repair", "--n", "10", "--q", "1/10",
+            "--vertices", "7", "--repair-budget", "0", "--seed", "0",
+        )
+        assert code == 3 and "resource guard" in err
+
+    def test_internal_error_is_not_a_refusal(self, monkeypatch):
+        def broken(args):
+            raise RuntimeError("internal failure")
+
+        monkeypatch.setattr(cli, "_cmd_aut", broken)
+        with pytest.raises(RuntimeError, match="internal failure"):
+            main(["aut", "--graph", "K2"])

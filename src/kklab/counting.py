@@ -350,15 +350,24 @@ def max_xy_paths(host: Graph, edges: int, node_budget=None) -> tuple:
 def copies_as_edge_masks(
     host: Graph, pattern: Graph, copy_cap=None, node_budget=None
 ) -> list:
-    """Distinct copies of ``pattern`` in ``host`` as bitmasks over host edge indices."""
+    """Distinct copies of ``pattern`` in ``host`` as bitmasks over host edge indices.
+
+    The cap is checked as each embedding is found, so an oversized copy
+    list is refused without finishing the walk.
+    """
     if pattern.edge_count == 0:
         raise ValueError("packing needs a pattern with at least one edge")
+    if pattern.n > host.n:
+        return []
     cap = copy_cap if copy_cap is not None else DEFAULT_COPY_CAP
     edge_index = {e: i for i, e in enumerate(host.edges)}
+    step_of = {v: idx for idx, (v, _) in enumerate(_match_plan(pattern))}
+    pairs = [(step_of[a], step_of[b]) for a, b in pattern.edges]
     masks = set()
-    for assign in iter_labeled(host, pattern, node_budget=node_budget):
+
+    def add(assign):
         m = 0
-        for a, b in pattern.edges:
+        for a, b in pairs:
             u, v = assign[a], assign[b]
             m |= 1 << edge_index[(min(u, v), max(u, v))]
         masks.add(m)
@@ -366,6 +375,9 @@ def copies_as_edge_masks(
             raise ResourceGuardError(
                 f"copy list exceeds cap {cap}; raise the cap to proceed"
             )
+        return False
+
+    _run_embedding(host, pattern, _Budget(node_budget), add)
     return sorted(masks)
 
 

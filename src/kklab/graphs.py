@@ -8,8 +8,11 @@ format carries them via an explicit ``n=<k>`` header line.
 
 Structural queries here are exact: density as a Fraction, maximum subgraph
 density via a parametric min-cut search cross-checked by subset
-enumeration, automorphism counts by color-refined backtracking, and a
+enumeration, automorphism counts as products of orbit sizes along an
+individualization-refinement path (orbit-stabilizer counting), and a
 canonical labeling used for deduplication and deterministic tie-breaks.
+Both the count and the labeling start from the one color refinement,
+``refine_colors``.
 """
 
 import math
@@ -568,84 +571,192 @@ def degeneracy_order(g: Graph) -> list:
     return order
 
 
-def refine_colors(g: Graph) -> list:
-    """Stable vertex coloring: degree refined by neighbor-color multisets.
+def refine_colors(g: Graph, colors=None) -> list:
+    """Equitable vertex coloring: a start coloring refined by neighbor colors.
 
-    Colors are ranks of sorted invariant keys, so they are comparable
-    between isomorphic graphs round by round.
+    The start is the degree of each vertex unless ``colors`` is given.  Each
+    round keys a vertex by its color and the sorted colors of its neighbors
+    (read off the ``adj`` bitmasks) and recolors by the rank of its key; the
+    loop ends when a round splits no class or leaves none to split.  Colors
+    are ranks of sorted invariant keys, so they are comparable between
+    isomorphic colored graphs round by round.
     """
-    colors = list(g.degrees())
+    adj = g.adj
+    colors = [m.bit_count() for m in adj] if colors is None else list(colors)
+    classes = len(set(colors))
     while True:
-        keys = [
-            (colors[v], tuple(sorted(colors[w] for w in g.neighbors(v))))
-            for v in range(g.n)
-        ]
+        keys = []
+        for v, m in enumerate(adj):
+            around = []
+            while m:
+                low = m & -m
+                around.append(colors[low.bit_length() - 1])
+                m ^= low
+            around.sort()
+            keys.append((colors[v], tuple(around)))
         rank = {key: i for i, key in enumerate(sorted(set(keys)))}
-        new = [rank[keys[v]] for v in range(g.n)]
-        if new == colors:
+        colors = [rank[key] for key in keys]
+        if len(rank) == classes or len(rank) == len(keys):
             return colors
-        colors = new
+        classes = len(rank)
 
 
-def _aut_count_connected(g: Graph, vertices: list) -> int:
-    sub = g.induced(vertices)
-    k = sub.n
-    if k <= 1:
-        return 1
-    if sub.edge_count == k * (k - 1) // 2:
-        return math.factorial(k)
-    colors = refine_colors(sub)
-    order = sorted(range(k), key=lambda v: (colors[v], v))
-    by_color = {}
-    for v in range(k):
-        by_color.setdefault(colors[v], []).append(v)
+def _find(parent: list, x: int) -> int:
+    """Union-find root of x, halving the path on the way up."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    image = [-1] * k
-    used = [False] * k
-    count = 0
 
-    def place(idx: int):
-        nonlocal count
-        if idx == k:
-            count += 1
-            return
-        v = order[idx]
-        for u in by_color[colors[v]]:
-            if used[u]:
+def _individualize(colors: list, v: int) -> list:
+    """The coloring with v split off, just above the rest of its class."""
+    out = [2 * c for c in colors]
+    out[v] += 1
+    return out
+
+
+def _cells(colors: list) -> list:
+    """Classes of two or more vertices, in color order."""
+    if len(set(colors)) == len(colors):
+        return []
+    members = {}
+    for v, c in enumerate(colors):
+        members.setdefault(c, []).append(v)
+    return [members[c] for c in sorted(members) if len(members[c]) > 1]
+
+
+def _twins(adj, cell: list) -> bool:
+    """Are the vertices of ``cell`` pairwise twins, so that every permutation
+    of the cell fixing all other vertices is an automorphism?"""
+    first = adj[cell[0]]
+    if all(adj[u] == first for u in cell):
+        return True
+    closed = first | 1 << cell[0]
+    return all(adj[u] | 1 << u == closed for u in cell)
+
+
+def _orbit_stabilizer_count(g: Graph) -> int:
+    """|Aut(g)| as the product of orbit sizes along one individualization path.
+
+    The path refines, individualizes the first vertex v_i of the first
+    non-singleton cell and refines again.  Aut(g, P_i), the automorphisms
+    preserving the i-th coloring, is the pointwise stabilizer of
+    v_0..v_{i-1}, so |Aut(g)| is the product over i of the size of the
+    orbit of v_i under Aut(g, P_i), times |Aut(g, P_d)| at the end of the
+    path.  The path ends once every non-singleton cell is a set of twins,
+    where Aut(g, P_d) is the product of the symmetric groups of the cells.
+
+    Walking the path bottom-up, a twin cell is one orbit; otherwise a
+    union-find over the automorphisms found so far settles most of the
+    cell, and each remaining vertex w costs a search for one automorphism
+    sending v_i to w (McKay & Piperno, Practical graph isomorphism II,
+    J. Symb. Comput. 2014).  The search individualizes w and follows the
+    path's cells, pruning any branch whose color shape leaves the path's.
+    Refinement never reorders classes, so at a leaf of matching shape the
+    color-matching map already sends v_i to w and preserves P_i: only the
+    edges are left to check.
+    """
+    n = g.n
+    adj = g.adj
+    if g.edge_count in (0, n * (n - 1) // 2):
+        return math.factorial(n)
+    path = [refine_colors(g)]
+    fixed = []
+    while True:
+        cells = _cells(path[-1])
+        if all(_twins(adj, cell) for cell in cells):
+            break
+        fixed.append(cells[0][0])
+        path.append(refine_colors(g, _individualize(path[-1], cells[0][0])))
+    total = 1
+    for cell in cells:
+        total *= math.factorial(len(cell))
+    depth = len(fixed)
+    if not depth:
+        return total
+    parent = list(range(n))  # union-find over the orbits seen so far
+
+    def join(pairs):
+        for x, y in pairs:
+            a, b = _find(parent, x), _find(parent, y)
+            if a != b:
+                parent[a] = b
+
+    for cell in cells:
+        join(zip(cell, cell[1:]))
+    shapes = [sorted(p) for p in path]
+    by_color = sorted(range(n), key=path[-1].__getitem__)
+
+    def match(j: int, right: list):
+        """An automorphism whose refinement path runs through ``right`` at depth j."""
+        if sorted(right) != shapes[j]:
+            return None
+        if j == depth:
+            perm = [0] * n
+            for x, y in zip(by_color, sorted(range(n), key=right.__getitem__)):
+                perm[x] = y
+            if all(adj[perm[a]] >> perm[b] & 1 for a, b in g.edges):
+                return perm
+            return None
+        c = path[j][fixed[j]]
+        for y, cy in enumerate(right):
+            if cy == c:
+                got = match(j + 1, refine_colors(g, _individualize(right, y)))
+                if got is not None:
+                    return got
+        return None
+
+    for i in reversed(range(depth)):
+        v = fixed[i]
+        top = path[i]
+        cell = [w for w in range(n) if top[w] == top[v]]
+        if _twins(adj, cell):
+            join(zip(cell, cell[1:]))
+        outside = []  # vertices known to miss v's orbit
+        for w in cell[1:]:
+            root = _find(parent, w)
+            if root == _find(parent, v) or any(_find(parent, x) == root for x in outside):
                 continue
-            ok = True
-            for j in range(idx):
-                w = order[j]
-                if (sub.adj[v] >> w & 1) != (sub.adj[u] >> image[w] & 1):
-                    ok = False
-                    break
-            if ok:
-                used[u] = True
-                image[v] = u
-                place(idx + 1)
-                used[u] = False
-                image[v] = -1
-
-    place(0)
-    return count
+            perm = match(i + 1, refine_colors(g, _individualize(top, w)))
+            if perm is None:
+                outside.append(w)
+            else:
+                join(enumerate(perm))
+        root = _find(parent, v)
+        total *= sum(1 for w in cell if _find(parent, w) == root)
+    return total
 
 
 def automorphism_count(g: Graph) -> int:
-    """|Aut(g)|, exactly.
+    """|Aut(g)|, exactly, by orbit-stabilizer counting.
 
-    Components are classified up to isomorphism first; the full count is the
-    product of the per-component counts times the factorials of the
-    multiplicities of repeated component types.
+    A connected graph is counted whole.  Otherwise the components are
+    grouped by vertex count and sorted degrees; only a group of two or
+    more components on more than four vertices is split further by
+    ``canonical_key`` (connected graphs on at most four vertices are fixed
+    by their degrees).  The full count is the product of the per-type
+    counts times the factorials of the type multiplicities.
     """
     comps = g.components()
-    by_type = {}
+    if len(comps) == 1:
+        return _orbit_stabilizer_count(g)
+    groups = {}
     for comp in comps:
-        key = canonical_key(g.induced(comp))
-        by_type.setdefault(key, []).append(comp)
+        shape = (len(comp), tuple(sorted(g.adj[v].bit_count() for v in comp)))
+        groups.setdefault(shape, []).append(comp)
     total = 1
-    for key, group in by_type.items():
-        single = _aut_count_connected(g, group[0])
-        total *= single ** len(group) * math.factorial(len(group))
+    for (k, _), group in groups.items():
+        if len(group) > 1 and k > 4:
+            types = {}
+            for comp in group:
+                types.setdefault(canonical_key(g.induced(comp)), []).append(comp)
+            group_types = types.values()
+        else:
+            group_types = [group]
+        for same in group_types:
+            single = _orbit_stabilizer_count(g.induced(same[0]))
+            total *= single ** len(same) * math.factorial(len(same))
     return total
 
 
@@ -655,19 +766,12 @@ def automorphism_count(g: Graph) -> int:
 def _swap_classes(g: Graph) -> list:
     """Union-find classes of vertices whose transposition is an automorphism."""
     parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for u in range(g.n):
         for v in range(u + 1, g.n):
             strip = ~((1 << u) | (1 << v))
             if g.adj[u] & strip == g.adj[v] & strip:
-                parent[find(u)] = find(v)
-    return [find(v) for v in range(g.n)]
+                parent[_find(parent, u)] = _find(parent, v)
+    return [_find(parent, v) for v in range(g.n)]
 
 
 def _canonical_perm(g: Graph) -> list:

@@ -106,23 +106,12 @@ def _make_counter(F: Graph):
     return lambda H: count_copies(H, F)
 
 
-def _induced_live(g: Graph, verts: tuple) -> Graph | None:
-    """Induced subgraph on verts with isolated vertices dropped."""
-    vs = set(verts)
-    edges = [e for e in g.edges if e[0] in vs and e[1] in vs]
-    if not edges:
-        return None
-    live = sorted({x for e in edges for x in e})
-    remap = {x: i for i, x in enumerate(live)}
-    return Graph(len(live), [(remap[a], remap[b]) for a, b in edges])
-
-
 def _quick_violation(g: Graph, n: int, q) -> bool:
     """Cheap sound disproof: test the full edge set and the densest part."""
     seen = set()
     for verts in (tuple(range(g.n)), tuple(max_density(g).witness)):
-        sub = _induced_live(g, verts)
-        if sub is None:
+        sub = _strip_isolates(g.induced(verts))
+        if not sub.edge_count:
             continue
         key = (sub.n, sub.edges)
         if key in seen:
@@ -162,6 +151,7 @@ def certified_sparse(g: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> b
 
 
 def _strip_isolates(g: Graph) -> Graph:
+    """g without its isolated vertices, in vertex order (K1 if g has no edges)."""
     keep = [v for v in range(g.n) if g.adj[v]]
     if not keep:
         return Graph(1, [])

@@ -11,6 +11,7 @@ from kklab import (
     automorphism_count,
     bowtie_graph,
     complete_graph,
+    copies_as_edge_masks,
     count_cliques,
     count_copies,
     count_cycles,
@@ -19,6 +20,7 @@ from kklab import (
     cycle_graph,
     empty_graph,
     graphs_on,
+    iter_labeled,
     max_xy_paths,
     packing_number,
     path_graph,
@@ -185,6 +187,20 @@ class TestResourceGuards:
     def test_copy_cap(self):
         with pytest.raises(ResourceGuardError):
             packing_number(complete_graph(7), path_graph(2), copy_cap=10)
+
+    def test_copy_cap_refuses_before_the_walk_ends(self):
+        # K14 holds 240,240 embeddings of P4; the cap must trip long before
+        # the node budget does
+        with pytest.raises(ResourceGuardError, match="copy list exceeds cap 1"):
+            copies_as_edge_masks(complete_graph(14), path_graph(4), copy_cap=1, node_budget=1000)
+
+    def test_edge_masks_match_embeddings(self):
+        host, pattern = petersen_graph(), path_graph(3)
+        index = {e: i for i, e in enumerate(host.edges)}
+        want = set()
+        for emb in iter_labeled(host, pattern):
+            want.add(sum(1 << index[tuple(sorted((emb[a], emb[b])))] for a, b in pattern.edges))
+        assert copies_as_edge_masks(host, pattern) == sorted(want)
 
 
 class TestCatalog:

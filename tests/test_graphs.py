@@ -1,10 +1,13 @@
 """Graph core: parsing, constructors, density, automorphisms, canonical forms."""
 
+import hashlib
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kklab.graphs
 from kklab import (
     Graph,
     GraphParseError,
@@ -16,6 +19,7 @@ from kklab import (
     density,
     disjoint_union,
     empty_graph,
+    graphs_on,
     max_density,
     max_density_bruteforce,
     parse_edge_list,
@@ -170,3 +174,84 @@ class TestAutomorphisms:
         perm = list(range(g.n))
         rnd.shuffle(perm)
         assert automorphism_count(g.relabel(perm)) == automorphism_count(g)
+
+
+def brute_force_aut(g):
+    """Vertex permutations that map every edge onto an edge."""
+    return sum(
+        all(g.has_edge(p[u], p[v]) for u, v in g.edges) for p in permutations(range(g.n))
+    )
+
+
+PRISM = Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)])
+K33 = Graph(6, [(i, j) for i in range(3) for j in range(3, 6)])
+
+
+class TestAutomorphismOracle:
+    @pytest.mark.parametrize("k", range(1, 7))
+    def test_matches_brute_force_on_catalog(self, k):
+        for g in graphs_on(k):
+            assert automorphism_count(g) == brute_force_aut(g), to_graph6(g)
+
+    @pytest.mark.parametrize("lengths,count", [((3, 4), 48), ((3, 5), 60), ((4, 4), 128)])
+    def test_regular_graph_whose_orbits_refinement_cannot_split(self, lengths, count):
+        # the complement of a union of cycles is regular and connected, so
+        # refinement leaves one cell, yet each cycle is its own orbit
+        cycles = disjoint_union(*(cycle_graph(k) for k in lengths))
+        g = Graph(cycles.n, [
+            (i, j) for i in range(cycles.n) for j in range(i + 1, cycles.n)
+            if not cycles.has_edge(i, j)
+        ])
+        assert automorphism_count(g) == count
+        if g.n <= 7:
+            assert brute_force_aut(g) == count
+
+    def test_strongly_regular_pair(self):
+        # both are srg(16, 6, 2, 2): refinement never splits a cell, so each
+        # orbit is settled by searching for automorphisms
+        steps = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+        shrikhande = Graph(16, [
+            (i, j) for i in range(16) for j in range(i + 1, 16)
+            if ((j // 4 - i // 4) % 4, (j - i) % 4) in steps
+        ])
+        rook = Graph(16, [
+            (i, j) for i in range(16) for j in range(i + 1, 16)
+            if (i // 4 == j // 4) != (i % 4 == j % 4)
+        ])
+        assert automorphism_count(shrikhande) == 192
+        assert automorphism_count(rook) == 2 * 24**2
+
+    def test_star(self):
+        assert automorphism_count(star_graph(6)) == 720
+
+    def test_isolated_vertices_only(self):
+        assert automorphism_count(empty_graph(6)) == 720
+
+    def test_components_sharing_degrees_are_split_by_type(self):
+        # prism and K3,3 are both 3-regular on 6 vertices
+        g = disjoint_union(PRISM, PRISM, K33, empty_graph(2))
+        assert automorphism_count(g) == 12**2 * 2 * 72 * 2
+
+    def test_connected_graph_needs_no_canonical_key(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("canonical_key called")
+
+        monkeypatch.setattr(kklab.graphs, "canonical_key", refuse)
+        assert automorphism_count(petersen_graph()) == 120
+        assert automorphism_count(PRISM) == 12
+        assert automorphism_count(disjoint_union(PRISM, star_graph(5))) == 12 * 120
+
+    def test_small_connected_graphs_are_fixed_by_degrees(self):
+        # automorphism_count groups components on <= 4 vertices by degrees alone
+        for k in range(1, 5):
+            connected = [g for g in graphs_on(k) if g.is_connected()]
+            assert len({tuple(sorted(g.degrees())) for g in connected}) == len(connected)
+
+
+class TestCanonicalPins:
+    def test_catalog_graph6_digest(self):
+        # canonical forms and catalog order of all 1,252 graphs on 1..7 vertices
+        text = "\n".join(to_graph6(g) for k in range(1, 8) for g in graphs_on(k))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "3d178cc4d9435005500783971c5a5f3b8534a410270eb270b0ea5100f0f991da"
+        )

@@ -14,6 +14,19 @@ subset only through (v_I, e_I, aut_I), so the scan aggregates subsets
 into classes keyed by that triple.  All verdicts are exact: rational q
 uses pure rational arithmetic (N * q^e vs 1), root-shaped q cross-powers
 integers, and no comparison ever goes through floating point.
+
+Every scan is one walker feeding one of two sinks.  The walker,
+``_gray_steps``, visits the nonempty edge subsets in Gray-code order and
+keeps (v, e) up to date in O(1) per step.  The class sink,
+``_class_table``, counts subsets into (v, e, aut) classes, for every
+(v, e) bucket (the full table) or for the buckets that can still beat a
+seeded lower bound (the pruned path).  The verdict sink, ``_VerdictMemo``,
+yields the subsets whose expectation is below 1 at one (n, q) and caches
+each exact verdict per bucket and per class.  A bucket whose crude bound
+C(n,v) * q^e is at least 1 needs no automorphism count: aut <= v! puts
+every member's expectation (n)_v/aut * q^e at or above the bound.  The
+full edge set and the densest part (``_seed_masks``) seed the pruned
+path's bound and the cheap disproof of sparsity.
 """
 
 import math
@@ -34,7 +47,7 @@ from .exact import (
     value_pow,
     value_root,
 )
-from .graphs import Graph, automorphism_count, to_graph6
+from .graphs import Graph, automorphism_count, max_density, to_graph6
 from .util import PreconditionError
 
 DEFAULT_EDGE_CAP = 24
@@ -196,43 +209,12 @@ def _aut_of_subset(sub_edges, vmask: int, v: int) -> tuple:
     return got, norm
 
 
-def _scan_block(H: Graph, lo: int, hi: int) -> dict:
-    """Classes (v, e, aut) -> [subset count, lex-min edge tuple] over masks [lo, hi)."""
-    edges = H.edges
-    emasks = [(1 << a) | (1 << b) for a, b in edges]
-    classes = {}
-    for mask in range(lo, hi):
-        mm = mask
-        vm = 0
-        sub = []
-        while mm:
-            low = mm & -mm
-            i = low.bit_length() - 1
-            mm ^= low
-            sub.append(edges[i])
-            vm |= emasks[i]
-        if not sub:
-            continue
-        v = vm.bit_count()
-        aut, _ = _aut_of_subset(sub, vm, v)
-        key = (v, len(sub), aut)
-        tup = tuple(sub)
-        cur = classes.get(key)
-        if cur is None:
-            classes[key] = [1, tup]
-        else:
-            cur[0] += 1
-            if tup < cur[1]:
-                cur[1] = tup
-    return classes
-
-
-def scan_subgraph_classes(H: Graph) -> dict:
-    """All nonempty edge subsets of H grouped by (v, e, aut)."""
-    return _scan_block(H, 0, 1 << H.edge_count)
-
-
-FULL_TABLE_EDGE_CAP = 14
+def _subset_graph(tup) -> Graph:
+    """An edge tuple as a graph on its spanned vertices, relabeled 0..v-1."""
+    vm = 0
+    for a, b in tup:
+        vm |= (1 << a) | (1 << b)
+    return Graph(vm.bit_count(), list(_normalize_subset(tup, vm)))
 
 
 def _gray_steps(H: Graph):
@@ -287,10 +269,57 @@ def _subset_of_mask(H: Graph, mask: int):
 
 
 def _class_of_mask(H: Graph, mask: int):
+    """((v, e, aut), edge tuple) of one edge subset of H."""
     sub, vm = _subset_of_mask(H, mask)
     v = vm.bit_count()
     aut, _ = _aut_of_subset(sub, vm, v)
-    return v, len(sub), aut, tuple(sub)
+    return (v, len(sub), aut), tuple(sub)
+
+
+def _add_class(classes: dict, key: tuple, tup: tuple) -> None:
+    """Count one subset into its class, keeping the lex-min edge tuple."""
+    cur = classes.get(key)
+    if cur is None:
+        classes[key] = [1, tup]
+    else:
+        cur[0] += 1
+        if tup < cur[1]:
+            cur[1] = tup
+
+
+def _class_table(H: Graph, buckets=None) -> dict:
+    """Class sink: (v, e, aut) -> [subset count, lex-min edge tuple].
+
+    Walks every nonempty edge subset of H, or only those whose (v, e)
+    bucket is in ``buckets`` when it is given.
+    """
+    classes: dict = {}
+    for mask, v, e in _gray_steps(H):
+        if buckets is None or (v, e) in buckets:
+            _add_class(classes, *_class_of_mask(H, mask))
+    return classes
+
+
+def scan_subgraph_classes(H: Graph) -> dict:
+    """All nonempty edge subsets of H grouped by (v, e, aut)."""
+    return _class_table(H)
+
+
+FULL_TABLE_EDGE_CAP = 14
+
+
+def _seed_masks(H: Graph) -> tuple:
+    """Edge masks of H's full edge set and of its densest part.
+
+    Both are nonempty when H has an edge; they seed the pruned scan's
+    starting bound and the cheap disproof of sparsity.
+    """
+    wset = set(max_density(H).witness)
+    dense = 0
+    for i, (a, b) in enumerate(H.edges):
+        if a in wset and b in wset:
+            dense |= 1 << i
+    return (1 << H.edge_count) - 1, dense
 
 
 def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
@@ -303,35 +332,17 @@ def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
     evaluated classes is still the exact threshold because any class above
     the starting bound lives in a surviving bucket.
     """
-    from .graphs import max_density
-
     hist: dict = {}
     for _, v, e in _gray_steps(H):
         key = (v, e)
         hist[key] = hist.get(key, 0) + 1
 
-    candidates = []
-
-    def add_candidate(mask: int):
-        v, e, aut, tup = _class_of_mask(H, mask)
-        candidates.append(((v, e, aut), tup))
-        return _class_threshold(n, target_den, v, e, aut)
-
-    full_mask = (1 << H.edge_count) - 1
-    t_start = add_candidate(full_mask)
-    t_edge = add_candidate(1)
-    if value_cmp(t_edge, t_start) > 0:
-        t_start = t_edge
-    dens = max_density(H)
-    dmask = 0
-    wset = set(dens.witness)
-    for i, (a, b) in enumerate(H.edges):
-        if a in wset and b in wset:
-            dmask |= 1 << i
-    if dmask:
-        t_dense = add_candidate(dmask)
-        if value_cmp(t_dense, t_start) > 0:
-            t_start = t_dense
+    full_mask, dense_mask = _seed_masks(H)
+    seeds = [_class_of_mask(H, mask) for mask in (full_mask, 1, dense_mask)]
+    t_start = max(
+        (_class_threshold(n, target_den, *key) for key, _ in seeds),
+        key=cmp_to_key(value_cmp),
+    )
 
     survivors = set()
     for (v, e), _count in hist.items():
@@ -348,28 +359,11 @@ def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
                 "bucket pruning left too many candidate subsets "
                 f"({member_budget}); the host is too dense for an exact scan"
             )
-        for mask, v, e in _gray_steps(H):
-            if (v, e) not in survivors:
-                continue
-            sub, vm = _subset_of_mask(H, mask)
-            aut, _ = _aut_of_subset(sub, vm, v)
-            key = (v, e, aut)
-            tup = tuple(sub)
-            cur = classes.get(key)
-            if cur is None:
-                classes[key] = [1, tup]
-            else:
-                cur[0] += 1
-                if tup < cur[1]:
-                    cur[1] = tup
-    for key, tup in candidates:
-        if (key[0], key[1]) in survivors:
-            continue
-        cur = classes.get(key)
-        if cur is None:
-            classes[key] = [1, tup]
-        elif tup < cur[1]:
-            cur[1] = tup
+        classes = _class_table(H, survivors)
+    # a seed in a pruned bucket stands for its class as one subset, lex-min
+    for key, tup in sorted(seeds):
+        if key[:2] not in survivors:
+            classes.setdefault(key, [1, tup])
     return classes
 
 
@@ -437,11 +431,6 @@ def _build_report(
         elif c == 0:
             tied.append(row)
     witness_tup = min(t[5] for t in tied)
-    wmask = 0
-    for a, b in witness_tup:
-        wmask |= (1 << a) | (1 << b)
-    wv = wmask.bit_count()
-    witness = Graph(wv, list(_normalize_subset(witness_tup, wmask)))
     bv, be, baut = next(
         (t[1], t[2], t[3]) for t in tied if t[5] == witness_tup
     )
@@ -455,13 +444,9 @@ def _build_report(
 
     table = []
     for thr, v, e, aut, count, tup in sorted(rows, key=cmp_to_key(row_cmp)):
-        vm = 0
-        for a, b in tup:
-            vm |= (1 << a) | (1 << b)
-        rep = Graph(v, list(_normalize_subset(tup, vm)))
         table.append(
             ThresholdClass(
-                descriptor=to_graph6(rep),
+                descriptor=to_graph6(_subset_graph(tup)),
                 v=v,
                 e=e,
                 aut=aut,
@@ -474,7 +459,7 @@ def _build_report(
         target_den=target_den,
         threshold=best[0],
         base_pair=pair,
-        witness=witness,
+        witness=_subset_graph(witness_tup),
         witness_edges=witness_tup,
         classes=tuple(table),
         enclosure=decimal_enclosure(best[0], digits),
@@ -497,39 +482,25 @@ def _connected_classes(H: Graph, vertex_cap: int) -> dict:
     because disconnected subgraphs can dominate the maximum.
     """
     classes = {}
-
-    def record(sub_edges, vmask):
-        v = vmask.bit_count()
-        aut, _ = _aut_of_subset(sub_edges, vmask, v)
-        key = (v, len(sub_edges), aut)
-        tup = tuple(sub_edges)
-        cur = classes.get(key)
-        if cur is None:
-            classes[key] = [1, tup]
-        else:
-            cur[0] += 1
-            if tup < cur[1]:
-                cur[1] = tup
-
     seen_sets = set()
 
     def grow(vset: int, frontier: int, banned: int):
         if vset in seen_sets:
             return
         seen_sets.add(vset)
-        inner = [e for e in H.edges if (1 << e[0]) & vset and (1 << e[1]) & vset]
-        if inner and len(inner) <= 18:
-            for mask in range(1, 1 << len(inner)):
-                sub = [inner[i] for i in range(len(inner)) if mask >> i & 1]
-                vm = 0
-                for a, b in sub:
-                    vm |= (1 << a) | (1 << b)
-                if vm != vset:
+        inner = Graph(
+            H.n, [e for e in H.edges if (1 << e[0]) & vset and (1 << e[1]) & vset]
+        )
+        if inner.edge_count > 18:
+            _add_class(classes, *_class_of_mask(inner, (1 << inner.edge_count) - 1))
+        else:
+            # the subsets of inner edges that span vset and are connected
+            k = vset.bit_count()
+            for mask, v, _ in _gray_steps(inner):
+                if v != k:
                     continue
-                if _spanning_connected(sub, vset):
-                    record(sub, vm)
-        elif inner:
-            record(inner, vset)
+                if _spanning_connected(_subset_of_mask(inner, mask)[0], vset):
+                    _add_class(classes, *_class_of_mask(inner, mask))
         if vset.bit_count() >= vertex_cap:
             return
         ext = frontier & ~vset & ~banned
@@ -655,6 +626,79 @@ def safe_edge_bound(n: int, q, v_cap: int, e_cap: int) -> int:
     return e_cap
 
 
+class _VerdictMemo:
+    """Verdict sink: exact q-sparsity verdicts at one (n, q), memoized.
+
+    A subset's expectation (n)_v/aut * q^e depends only on (v, e, aut), so
+    the exact comparison with 1 happens once per class and is kept for
+    every later subset, scan and host that reaches the class.  A (v, e)
+    bucket whose crude bound C(n,v) * q^e is at least 1 skips the
+    automorphism count altogether: aut <= v! puts every member's
+    expectation at or above that bound.  max_edges bounds e.
+    """
+
+    __slots__ = ("n", "powers", "buckets", "classes")
+
+    def __init__(self, n: int, q, max_edges: int):
+        self.n = n
+        self.powers = _power_table(q, max_edges)
+        self.buckets: dict = {}
+        self.classes: dict = {}
+
+    def bucket_ok(self, v: int, e: int) -> bool:
+        key = (v, e)
+        hit = self.buckets.get(key)
+        if hit is None:
+            hit = (
+                value_cmp(
+                    value_mul(Fraction(math.comb(self.n, v)), self.powers[e]), 1
+                )
+                >= 0
+            )
+            self.buckets[key] = hit
+        return hit
+
+    def violation(self, H: Graph, mask: int):
+        """(expectation, edge tuple) when this edge subset of H has
+        expectation below 1, else None."""
+        sub, vm = _subset_of_mask(H, mask)
+        v, e = vm.bit_count(), len(sub)
+        if self.bucket_ok(v, e):
+            return None
+        aut, _ = _aut_of_subset(sub, vm, v)
+        key = (v, e, aut)
+        if key not in self.classes:
+            expectation = value_mul(Fraction(math.perm(self.n, v), aut), self.powers[e])
+            self.classes[key] = expectation if value_cmp(expectation, 1) < 0 else None
+        expectation = self.classes[key]
+        return None if expectation is None else (expectation, tuple(sub))
+
+    def violations(self, H: Graph, required_edge: int | None = None):
+        """Yield (expectation, edge tuple) for every violating edge subset of
+        H in scan order, only subsets through edge index required_edge when
+        it is given."""
+        req_bit = 0 if required_edge is None else 1 << required_edge
+        for mask, v, e in _gray_steps(H):
+            # the walker's (v, e) settles most subsets before any extraction
+            if mask & req_bit == req_bit and not self.bucket_ok(v, e):
+                hit = self.violation(H, mask)
+                if hit is not None:
+                    yield hit
+
+    def seed_violation(self, H: Graph):
+        """A violation among H's full edge set and its densest part, or None."""
+        for mask in _seed_masks(H):
+            hit = self.violation(H, mask)
+            if hit is not None:
+                return hit
+        return None
+
+
+def _violation_cmp(a: tuple, b: tuple) -> int:
+    """Order (expectation, edge tuple) pairs: expectation, then edge tuple."""
+    return value_cmp(a[0], b[0]) or (a[1] > b[1]) - (a[1] < b[1])
+
+
 def violation_scan(
     H: Graph,
     n: int,
@@ -664,46 +708,27 @@ def violation_scan(
 ):
     """(verdict, min expectation, argmin edge tuple) over edge subsets.
 
-    Subsets whose crude bound C(n,v)*q^e >= 1 are skipped without an aut
-    computation; any violating subset fails that bound, so the minimum over
-    violators is never lost.  required_edge restricts the scan to subsets
-    containing that edge index (sound after certifying the host without it).
+    The violators come from one _VerdictMemo walk, so buckets with crude
+    bound C(n,v)*q^e >= 1 are skipped without an aut computation; every
+    violator fails that bound, so the minimum over violators is never
+    lost.  Ties go to the lexicographically least edge tuple; early_exit
+    takes the first violator in scan order instead.  required_edge
+    restricts the scan to subsets containing that edge index (sound after
+    certifying the host without it).
     """
     m = H.edge_count
     if m == 0:
         return True, None, None
     if safe_edge_bound(n, q, min(H.n, 2 * m), m) >= m:
         return True, None, None
-    powers = _power_table(q, m)
-    crude_ok: dict = {}
-    best = None
-    best_tup = None
-    req_bit = None if required_edge is None else 1 << required_edge
-    for mask, v, e in _gray_steps(H):
-        if req_bit is not None and not mask & req_bit:
-            continue
-        ck = (v, e)
-        ok = crude_ok.get(ck)
-        if ok is None:
-            ok = value_cmp(value_mul(Fraction(math.comb(n, v)), powers[e]), 1) >= 0
-            crude_ok[ck] = ok
-        if ok:
-            continue
-        sub, vm = _subset_of_mask(H, mask)
-        aut, _ = _aut_of_subset(sub, vm, v)
-        expectation = value_mul(Fraction(math.perm(n, v), aut), powers[e])
-        if value_cmp(expectation, 1) >= 0:
-            continue
-        tup = tuple(sub)
-        if best is None:
-            best, best_tup = expectation, tup
-        else:
-            c = value_cmp(expectation, best)
-            if c < 0 or (c == 0 and tup < best_tup):
-                best, best_tup = expectation, tup
-        if early_exit:
-            return False, best, best_tup
-    return best is None, best, best_tup
+    hits = _VerdictMemo(n, q, m).violations(H, required_edge)
+    if early_exit:
+        hit = next(hits, None)
+    else:
+        hit = min(hits, key=cmp_to_key(_violation_cmp), default=None)
+    if hit is None:
+        return True, None, None
+    return False, hit[0], hit[1]
 
 
 def is_q_sparse(H: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> SparseCheck:
@@ -725,15 +750,11 @@ def is_q_sparse(H: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> Sparse
     verdict, worst, tup = violation_scan(H, n, q)
     if verdict:
         return SparseCheck(sparse=True, n=n, q=q)
-    vm = 0
-    for a, b in tup:
-        vm |= (1 << a) | (1 << b)
-    witness = Graph(vm.bit_count(), list(_normalize_subset(tup, vm)))
     return SparseCheck(
         sparse=False,
         n=n,
         q=q,
-        witness=witness,
+        witness=_subset_graph(tup),
         witness_edges=tup,
         expectation=worst,
     )

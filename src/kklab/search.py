@@ -25,30 +25,19 @@ from .exact import (
     value_div,
     value_float,
     value_mul,
-    value_pow,
     value_root,
     value_to_json,
 )
 from .expectation import (
     DEFAULT_EDGE_CAP,
     EdgeCapError,
-    _aut_of_subset,
-    _gray_steps,
-    _power_table,
-    _subset_of_mask,
+    _VerdictMemo,
     expected_copies,
     required_L,
     safe_edge_bound,
     violation_scan,
 )
-from .graphs import (
-    Graph,
-    automorphism_count,
-    canonical_form,
-    max_density,
-    parse_graph6,
-    to_graph6,
-)
+from .graphs import Graph, canonical_form, parse_graph6, to_graph6
 from .montecarlo import _repair_edge, derive_rng
 from .util import PreconditionError
 
@@ -106,26 +95,6 @@ def _make_counter(F: Graph):
     return lambda H: count_copies(H, F)
 
 
-def _quick_violation(g: Graph, n: int, q) -> bool:
-    """Cheap sound disproof: test the full edge set and the densest part."""
-    seen = set()
-    for verts in (tuple(range(g.n)), tuple(max_density(g).witness)):
-        sub = _strip_isolates(g.induced(verts))
-        if not sub.edge_count:
-            continue
-        key = (sub.n, sub.edges)
-        if key in seen:
-            continue
-        seen.add(key)
-        expectation = value_mul(
-            Fraction(math.perm(n, sub.n), automorphism_count(sub)),
-            value_pow(q, sub.edge_count),
-        )
-        if value_cmp(expectation, 1) < 0:
-            return True
-    return False
-
-
 def certified_sparse(g: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> bool:
     """Sparsity verdict that stays cheap on easy instances.
 
@@ -139,7 +108,7 @@ def certified_sparse(g: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> b
         return True
     if safe_edge_bound(n, q, min(g.n, 2 * m), m) >= m:
         return True
-    if m > 15 and _quick_violation(g, n, q):
+    if m > 15 and _VerdictMemo(n, q, m).seed_violation(g) is not None:
         return False
     if m > edge_cap:
         raise EdgeCapError(
@@ -303,64 +272,6 @@ class SearchResult:
         }
 
 
-class _SparsityOracle:
-    """Move-loop sparsity scans with verdicts memoized per (v, e, aut).
-
-    A subset's expectation perm(n,v)/aut * q^e depends only on that triple,
-    and q is fixed for the whole run, so the exact root comparisons happen
-    once per triple instead of once per subset visit.
-    """
-
-    __slots__ = ("n", "powers", "buckets", "classes")
-
-    def __init__(self, n: int, q, max_edges: int):
-        self.n = n
-        self.powers = _power_table(q, max_edges)
-        self.buckets: dict = {}
-        self.classes: dict = {}
-
-    def bucket_ok(self, v: int, e: int) -> bool:
-        key = (v, e)
-        hit = self.buckets.get(key)
-        if hit is None:
-            hit = (
-                value_cmp(
-                    value_mul(Fraction(math.comb(self.n, v)), self.powers[e]), 1
-                )
-                >= 0
-            )
-            self.buckets[key] = hit
-        return hit
-
-    def class_ok(self, v: int, e: int, aut: int) -> bool:
-        key = (v, e, aut)
-        hit = self.classes.get(key)
-        if hit is None:
-            hit = (
-                value_cmp(
-                    value_mul(Fraction(math.perm(self.n, v), aut), self.powers[e]), 1
-                )
-                >= 0
-            )
-            self.classes[key] = hit
-        return hit
-
-    def first_violation(self, probe: Graph, required_idx: int) -> tuple | None:
-        """First violating edge subset through the given edge, in scan order."""
-        req_bit = 1 << required_idx
-        for mask, v, e in _gray_steps(probe):
-            if not mask & req_bit:
-                continue
-            if self.bucket_ok(v, e):
-                continue
-            sub, vm = _subset_of_mask(probe, mask)
-            aut, _ = _aut_of_subset(sub, vm, v)
-            if self.class_ok(v, e, aut):
-                continue
-            return tuple(sub)
-        return None
-
-
 def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooling,
                edge_cap, safe_edges, e_float, report_strippable):
     rng = derive_rng(seed, "search", chain_idx)
@@ -385,7 +296,7 @@ def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooli
     # addition outcomes are deterministic in the candidate, so memoize:
     # mask of H+uv -> frozenset of repaired edges, or None when rejected
     add_cache: dict = {}
-    oracle = _SparsityOracle(n, q, math.comb(host_cap, 2))
+    memo = _VerdictMemo(n, q, math.comb(host_cap, 2))
 
     def settle_addition(edges: set, toggled: tuple):
         """(edges, None) on success, else (None, rejection reason)."""
@@ -397,10 +308,10 @@ def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooli
                 return None, "cap"
             ordered = sorted(cand)
             probe = Graph(host_cap, ordered)
-            witness = oracle.first_violation(probe, ordered.index(toggled))
-            if witness is None:
+            hit = next(memo.violations(probe, ordered.index(toggled)), None)
+            if hit is None:
                 return frozenset(cand), None
-            drop = _repair_edge(probe, witness)
+            drop = _repair_edge(probe, hit[1])
             if drop == toggled:
                 return None, "untoggle"
             cand.discard(drop)

@@ -1,0 +1,201 @@
+"""Edge-subset scans against brute force: class table, pruned path,
+violation scan, certified_sparse on big hosts, heuristic mode."""
+
+from fractions import Fraction
+from functools import cmp_to_key
+
+import pytest
+
+from kklab import (
+    Graph,
+    automorphism_count,
+    certified_sparse,
+    complete_graph,
+    cycle_graph,
+    disjoint_union,
+    expected_copies,
+    graphs_on,
+    is_q_sparse,
+    make_value,
+    path_graph,
+    path_power_graph,
+    petersen_graph,
+    q_min,
+    to_graph6,
+    value_cmp,
+    violation_scan,
+)
+from kklab.exact import DEFAULT_DIGITS
+from kklab.expectation import _build_report, _pruned_classes, scan_subgraph_classes
+
+SMALL_HOSTS = [g for v in range(2, 6) for g in graphs_on(v) if g.edge_count]
+
+
+def strip(sub) -> Graph:
+    """The edge tuple as a graph on its spanned vertices, in vertex order."""
+    verts = sorted({x for edge in sub for x in edge})
+    pos = {x: i for i, x in enumerate(verts)}
+    return Graph(len(verts), [(pos[a], pos[b]) for a, b in sub])
+
+
+def subsets(H: Graph):
+    """(mask, edge tuple) for every nonempty edge subset, in binary order."""
+    for mask in range(1, 1 << H.edge_count):
+        yield mask, tuple(H.edges[i] for i in range(H.edge_count) if mask >> i & 1)
+
+
+def brute_classes(H: Graph, keep=lambda sub: True) -> dict:
+    classes = {}
+    for _, sub in subsets(H):
+        if not keep(sub):
+            continue
+        J = strip(sub)
+        key = (J.n, len(sub), automorphism_count(J))
+        cur = classes.setdefault(key, [0, sub])
+        cur[0] += 1
+        cur[1] = min(cur[1], sub)
+    return classes
+
+
+def brute_violations(H: Graph, n: int, q, required_edge=None) -> list:
+    """(expectation, edge tuple) of every subset with expectation below 1."""
+    found = []
+    for mask, sub in subsets(H):
+        if required_edge is not None and not mask >> required_edge & 1:
+            continue
+        expectation = expected_copies(n, q, strip(sub))
+        if value_cmp(expectation, 1) < 0:
+            found.append((expectation, sub))
+    return found
+
+
+def by_expectation_then_edges(a, b):
+    return value_cmp(a[0], b[0]) or (a[1] > b[1]) - (a[1] < b[1])
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("H", SMALL_HOSTS, ids=to_graph6)
+    def test_matches_brute_force(self, H):
+        assert scan_subgraph_classes(H) == brute_classes(H)
+
+
+class TestPrunedPath:
+    @pytest.mark.parametrize("v", [4, 5, 6])
+    def test_agrees_with_full_table(self, v):
+        for H in graphs_on(v):
+            if not H.edge_count:
+                continue
+            table = scan_subgraph_classes(H)
+            for n in (v, v + 5):
+                for target_den in (1, 2):
+                    full = _build_report(H, n, target_den, table, DEFAULT_DIGITS)
+                    pruned = _build_report(
+                        H, n, target_den, _pruned_classes(H, n, target_den),
+                        DEFAULT_DIGITS, table_complete=False,
+                    )
+                    assert value_cmp(pruned.threshold, full.threshold) == 0
+                    assert pruned.base_pair == full.base_pair
+                    assert pruned.witness_edges == full.witness_edges
+
+
+class TestViolationScan:
+    @pytest.mark.parametrize("H", SMALL_HOSTS, ids=to_graph6)
+    def test_min_and_argmin(self, H):
+        n = H.n + 2
+        qs = [Fraction(1, 9), Fraction(1, 4), Fraction(1, 2), q_min(H, n).threshold]
+        for q in qs:
+            for req in (None, 0, H.edge_count - 1):
+                found = brute_violations(H, n, q, req)
+                verdict, worst, tup = violation_scan(H, n, q, required_edge=req)
+                assert verdict == (not found)
+                if found:
+                    want = min(found, key=cmp_to_key(by_expectation_then_edges))
+                    assert value_cmp(worst, want[0]) == 0 and tup == want[1]
+                else:
+                    assert worst is None and tup is None
+
+                verdict, worst, tup = violation_scan(
+                    H, n, q, required_edge=req, early_exit=True
+                )
+                assert verdict == (not found)
+                if found:
+                    assert value_cmp(worst, 1) < 0
+                    assert value_cmp(worst, expected_copies(n, q, strip(tup))) == 0
+                    assert set(tup) <= set(H.edges)
+                    if req is not None:
+                        assert H.edges[req] in tup
+
+    def test_required_edge_excludes_other_violators(self):
+        # two far-apart triangles: only subsets through edge 5 are scanned
+        H = disjoint_union(complete_graph(3), complete_graph(3))
+        q = q_min(complete_graph(3), 10).threshold
+        verdict, _, tup = violation_scan(H, 10, q)
+        assert not verdict and tup == H.edges
+        assert violation_scan(H, 10, q, required_edge=5)[2] == H.edges
+        assert violation_scan(complete_graph(3), 10, q, required_edge=0)[0]
+
+
+K7_MINUS_5 = Graph(7, [(a, b) for a in range(7) for b in range(a + 1, 7)][:16])
+
+
+class TestCertifiedSparseBigHosts:
+    # 16 or more edges, so certified_sparse tries the quick disproof on the
+    # full edge set and the densest part before any scan
+    @pytest.mark.parametrize(
+        "H,q,sparse",
+        [
+            (cycle_graph(16), Fraction(1, 4), True),
+            (path_power_graph(10, 2), Fraction(2, 5), True),
+            (K7_MINUS_5, Fraction(1, 3), False),
+            # neither quick-disproof subset violates; the scan finds one
+            (K7_MINUS_5, Fraction(2, 5), False),
+            (disjoint_union(complete_graph(5), path_graph(6)), Fraction(2, 5), False),
+        ],
+    )
+    def test_matches_reference_check(self, H, q, sparse):
+        n = 18
+        assert H.edge_count >= 16
+        assert is_q_sparse(H, n, q).sparse == sparse
+        assert certified_sparse(H, n, q) == sparse
+
+    def test_both_sides_of_the_threshold(self):
+        # sparse at the exact threshold M^(-1/e), not at (M+1)^(-1/e)
+        H = cycle_graph(16)
+        n = 18
+        report = q_min(H, n)
+        M, e = report.base_pair
+        below = make_value(Fraction(1, M + 1), e)
+        assert certified_sparse(H, n, report.threshold)
+        assert not certified_sparse(H, n, below)
+        assert not is_q_sparse(H, n, below).sparse
+
+
+def connected(sub) -> bool:
+    return strip(sub).is_connected()
+
+
+def table_rows(report) -> list:
+    return [(c.descriptor, c.v, c.e, c.aut, c.subsets) for c in report.classes]
+
+
+class TestHeuristicMode:
+    @pytest.mark.parametrize(
+        "H,cap",
+        [
+            (complete_graph(4), 8),
+            (complete_graph(5), 3),
+            (graphs_on(5)[17], 4),
+            (disjoint_union(complete_graph(3), cycle_graph(4)), 8),
+            (petersen_graph(), 4),
+        ],
+    )
+    def test_matches_connected_brute_force(self, H, cap):
+        n = H.n + 2
+        report = q_min(H, n, mode="heuristic", heuristic_vertex_cap=cap)
+        assert report.lower_bound_only
+        brute = brute_classes(H, lambda sub: strip(sub).n <= cap and connected(sub))
+        want = _build_report(H, n, 1, brute, DEFAULT_DIGITS, lower_bound_only=True)
+        assert table_rows(report) == table_rows(want)
+        assert all(v <= cap for _, v, _, _, _ in table_rows(report))
+        assert value_cmp(report.threshold, want.threshold) == 0
+        assert report.witness_edges == want.witness_edges

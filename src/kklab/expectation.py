@@ -17,16 +17,18 @@ integers, and no comparison ever goes through floating point.
 
 Every scan is one walker feeding one of two sinks.  The walker,
 ``_gray_steps``, visits the nonempty edge subsets in Gray-code order and
-keeps (v, e) up to date in O(1) per step.  The class sink,
-``_class_table``, counts subsets into (v, e, aut) classes, for every
-(v, e) bucket (the full table) or for the buckets that can still beat a
-seeded lower bound (the pruned path).  The verdict sink, ``_VerdictMemo``,
-yields the subsets whose expectation is below 1 at one (n, q) and caches
-each exact verdict per bucket and per class.  A bucket whose crude bound
-C(n,v) * q^e is at least 1 needs no automorphism count: aut <= v! puts
-every member's expectation (n)_v/aut * q^e at or above the bound.  The
-full edge set and the densest part (``_seed_masks``) seed the pruned
-path's bound and the cheap disproof of sparsity.
+keeps (v, e, sym) up to date in O(1) per step, where sym = prod_d m_d! over
+the spanned vertices' degree classes (m_d vertices of degree d).
+Automorphisms preserve degree, so aut <= sym <= v!: a subset whose
+expectation or threshold is settled by sym alone needs no automorphism
+count.  The class sink, ``_class_table``, counts subsets into (v, e, aut)
+classes, for every subset (the full table) or for the (v, e, sym) groups
+whose cap can still reach a seeded lower bound (the pruned path).  The
+verdict sink, ``_VerdictMemo``, yields the subsets whose expectation is
+below 1 at one (n, q); a subset can violate only if (n)_v/sym * q^e < 1,
+and both that test and each exact class verdict are cached.  The full
+edge set and the densest part (``_seed_masks``) seed the pruned path's
+bound and the cheap disproof of sparsity.
 """
 
 import math
@@ -218,40 +220,54 @@ def _subset_graph(tup) -> Graph:
 
 
 def _gray_steps(H: Graph):
-    """Yield (mask, v, e) over all nonempty edge subsets in Gray-code order.
+    """Yield (mask, v, e, sym) over all nonempty edge subsets in Gray-code
+    order, where sym = prod_{d>=1} m_d! and m_d counts the spanned vertices
+    of degree d in the subset.
 
-    One edge flips per step, so the spanned-vertex count updates in O(1)
-    via per-vertex incidence counters; this is what makes exact scans of
-    2^20+ subsets affordable.
+    Automorphisms preserve degree, so sym bounds the subset's aut from
+    above (and v! bounds sym).  One edge flips per step and moves each of
+    its two ends to the neighbouring degree class, so v and sym update in
+    O(1) from per-vertex degrees and per-degree class sizes: leaving a
+    class of size s divides sym by s, joining one that becomes size s
+    multiplies by s.  This is what makes exact scans of 2^20+ subsets
+    affordable.
     """
     edges = H.edges
     m = len(edges)
-    cnt = [0] * H.n
+    deg = [0] * H.n
+    size = [0] * (H.n + 1)
     v_cur = 0
     e_cur = 0
+    sym = 1
     mask = 0
     for i in range(1, 1 << m):
         bit = (i & -i).bit_length() - 1
-        a, b = edges[bit]
+        mask ^= 1 << bit
         if mask >> bit & 1:
-            mask ^= 1 << bit
-            e_cur -= 1
-            cnt[a] -= 1
-            cnt[b] -= 1
-            if not cnt[a]:
-                v_cur -= 1
-            if not cnt[b]:
-                v_cur -= 1
-        else:
-            mask ^= 1 << bit
             e_cur += 1
-            if not cnt[a]:
-                v_cur += 1
-            if not cnt[b]:
-                v_cur += 1
-            cnt[a] += 1
-            cnt[b] += 1
-        yield mask, v_cur, e_cur
+            for x in edges[bit]:
+                d = deg[x]
+                if d:
+                    sym //= size[d]
+                    size[d] -= 1
+                else:
+                    v_cur += 1
+                deg[x] = d = d + 1
+                size[d] += 1
+                sym *= size[d]
+        else:
+            e_cur -= 1
+            for x in edges[bit]:
+                d = deg[x]
+                sym //= size[d]
+                size[d] -= 1
+                deg[x] = d = d - 1
+                if d:
+                    size[d] += 1
+                    sym *= size[d]
+                else:
+                    v_cur -= 1
+        yield mask, v_cur, e_cur, sym
 
 
 def _subset_of_mask(H: Graph, mask: int):
@@ -287,15 +303,15 @@ def _add_class(classes: dict, key: tuple, tup: tuple) -> None:
             cur[1] = tup
 
 
-def _class_table(H: Graph, buckets=None) -> dict:
+def _class_table(H: Graph, groups=None) -> dict:
     """Class sink: (v, e, aut) -> [subset count, lex-min edge tuple].
 
-    Walks every nonempty edge subset of H, or only those whose (v, e)
-    bucket is in ``buckets`` when it is given.
+    Walks every nonempty edge subset of H, or only those whose (v, e, sym)
+    group is in ``groups`` when it is given.
     """
     classes: dict = {}
-    for mask, v, e in _gray_steps(H):
-        if buckets is None or (v, e) in buckets:
+    for mask, v, e, sym in _gray_steps(H):
+        if groups is None or (v, e, sym) in groups:
             _add_class(classes, *_class_of_mask(H, mask))
     return classes
 
@@ -323,48 +339,44 @@ def _seed_masks(H: Graph) -> tuple:
 
 
 def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
-    """Threshold-relevant classes for hosts too large for the full table.
+    """The classes whose threshold is at least a seeded lower bound, for
+    hosts too large for the full table.
 
-    A bucket of subsets sharing (v, e) has per-class threshold at most
-    (v!/(t*(n)_v))^(1/e) since aut <= v!.  Buckets whose cap cannot beat a
-    cheap starting lower bound (full edge set, densest subgraph, single
-    edge) are skipped without any automorphism work; the maximum over the
-    evaluated classes is still the exact threshold because any class above
-    the starting bound lives in a surviving bucket.
+    The walker groups subsets by (v, e, sym).  Since aut <= sym, a class's
+    threshold (aut/(t*(n)_v))^(1/e) is at most the cap
+    (sym/(t*(n)_v))^(1/e) of every group holding one of its members.  The
+    starting bound t_start is the best threshold among the full edge set,
+    a single edge and the densest part; groups whose cap is below it are
+    skipped without any automorphism work.  Every member of a class at or
+    above t_start lies in a surviving group, so exactly those classes are
+    kept, each with the subset count and lex-min edge tuple of the full
+    table, and their maximum is the exact threshold.
     """
     hist: dict = {}
-    for _, v, e in _gray_steps(H):
-        key = (v, e)
+    for _, v, e, sym in _gray_steps(H):
+        key = (v, e, sym)
         hist[key] = hist.get(key, 0) + 1
 
-    full_mask, dense_mask = _seed_masks(H)
-    seeds = [_class_of_mask(H, mask) for mask in (full_mask, 1, dense_mask)]
     t_start = max(
-        (_class_threshold(n, target_den, *key) for key, _ in seeds),
+        (
+            _class_threshold(n, target_den, *_class_of_mask(H, mask)[0])
+            for mask in (*_seed_masks(H), 1)
+        ),
         key=cmp_to_key(value_cmp),
     )
 
-    survivors = set()
-    for (v, e), _count in hist.items():
-        cap = make_value(
-            Fraction(math.factorial(v), target_den * math.perm(n, v)), e
+    def reaches_start(key) -> bool:
+        return value_cmp(_class_threshold(n, target_den, *key), t_start) >= 0
+
+    survivors = {key for key in hist if reaches_start(key)}
+    member_budget = sum(hist[key] for key in survivors)
+    if member_budget > 400_000:
+        raise EdgeCapError(
+            "degree-symmetry pruning left too many candidate subsets "
+            f"({member_budget}); the host is too dense for an exact scan"
         )
-        if value_cmp(cap, t_start) > 0:
-            survivors.add((v, e))
-    classes: dict = {}
-    if survivors:
-        member_budget = sum(hist[key] for key in survivors)
-        if member_budget > 400_000:
-            raise EdgeCapError(
-                "bucket pruning left too many candidate subsets "
-                f"({member_budget}); the host is too dense for an exact scan"
-            )
-        classes = _class_table(H, survivors)
-    # a seed in a pruned bucket stands for its class as one subset, lex-min
-    for key, tup in sorted(seeds):
-        if key[:2] not in survivors:
-            classes.setdefault(key, [1, tup])
-    return classes
+    classes = _class_table(H, survivors)
+    return {key: row for key, row in classes.items() if reaches_start(key)}
 
 
 # -- threshold reports ----------------------------------------------------------
@@ -496,7 +508,7 @@ def _connected_classes(H: Graph, vertex_cap: int) -> dict:
         else:
             # the subsets of inner edges that span vset and are connected
             k = vset.bit_count()
-            for mask, v, _ in _gray_steps(inner):
+            for mask, v, _, _ in _gray_steps(inner):
                 if v != k:
                     continue
                 if _spanning_connected(_subset_of_mask(inner, mask)[0], vset):
@@ -631,31 +643,32 @@ class _VerdictMemo:
 
     A subset's expectation (n)_v/aut * q^e depends only on (v, e, aut), so
     the exact comparison with 1 happens once per class and is kept for
-    every later subset, scan and host that reaches the class.  A (v, e)
-    bucket whose crude bound C(n,v) * q^e is at least 1 skips the
-    automorphism count altogether: aut <= v! puts every member's
-    expectation at or above that bound.  max_edges bounds e.
+    every later subset, scan and host that reaches the class.  Since
+    aut <= sym, a subset can violate only if (n)_v/sym * q^e < 1; that
+    test is memoized per (v, e, sym) and settles most subsets before any
+    automorphism count.  The keys do not depend on the host, so one memo
+    may serve many hosts.  max_edges bounds e.
     """
 
-    __slots__ = ("n", "powers", "buckets", "classes")
+    __slots__ = ("n", "powers", "bounds", "classes")
 
     def __init__(self, n: int, q, max_edges: int):
         self.n = n
         self.powers = _power_table(q, max_edges)
-        self.buckets: dict = {}
+        self.bounds: dict = {}
         self.classes: dict = {}
 
-    def bucket_ok(self, v: int, e: int) -> bool:
-        key = (v, e)
-        hit = self.buckets.get(key)
+    def may_violate(self, v: int, e: int, sym: int) -> bool:
+        key = (v, e, sym)
+        hit = self.bounds.get(key)
         if hit is None:
             hit = (
                 value_cmp(
-                    value_mul(Fraction(math.comb(self.n, v)), self.powers[e]), 1
+                    value_mul(Fraction(math.perm(self.n, v), sym), self.powers[e]), 1
                 )
-                >= 0
+                < 0
             )
-            self.buckets[key] = hit
+            self.bounds[key] = hit
         return hit
 
     def violation(self, H: Graph, mask: int):
@@ -663,8 +676,6 @@ class _VerdictMemo:
         expectation below 1, else None."""
         sub, vm = _subset_of_mask(H, mask)
         v, e = vm.bit_count(), len(sub)
-        if self.bucket_ok(v, e):
-            return None
         aut, _ = _aut_of_subset(sub, vm, v)
         key = (v, e, aut)
         if key not in self.classes:
@@ -678,9 +689,9 @@ class _VerdictMemo:
         H in scan order, only subsets through edge index required_edge when
         it is given."""
         req_bit = 0 if required_edge is None else 1 << required_edge
-        for mask, v, e in _gray_steps(H):
-            # the walker's (v, e) settles most subsets before any extraction
-            if mask & req_bit == req_bit and not self.bucket_ok(v, e):
+        for mask, v, e, sym in _gray_steps(H):
+            # the walker's (v, e, sym) settles most subsets before any extraction
+            if mask & req_bit == req_bit and self.may_violate(v, e, sym):
                 hit = self.violation(H, mask)
                 if hit is not None:
                     yield hit
@@ -708,13 +719,13 @@ def violation_scan(
 ):
     """(verdict, min expectation, argmin edge tuple) over edge subsets.
 
-    The violators come from one _VerdictMemo walk, so buckets with crude
-    bound C(n,v)*q^e >= 1 are skipped without an aut computation; every
-    violator fails that bound, so the minimum over violators is never
-    lost.  Ties go to the lexicographically least edge tuple; early_exit
-    takes the first violator in scan order instead.  required_edge
-    restricts the scan to subsets containing that edge index (sound after
-    certifying the host without it).
+    The violators come from one _VerdictMemo walk, so subsets with
+    (n)_v/sym * q^e >= 1 are skipped without an aut computation; since
+    aut <= sym, every violator fails that bound, so the minimum over
+    violators is never lost.  Ties go to the lexicographically least edge
+    tuple; early_exit takes the first violator in scan order instead.
+    required_edge restricts the scan to subsets containing that edge index
+    (sound after certifying the host without it).
     """
     m = H.edge_count
     if m == 0:

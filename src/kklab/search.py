@@ -35,7 +35,6 @@ from .expectation import (
     expected_copies,
     required_L,
     safe_edge_bound,
-    violation_scan,
 )
 from .graphs import Graph, canonical_form, parse_graph6, to_graph6
 from .montecarlo import _repair_edge, derive_rng
@@ -103,20 +102,25 @@ def certified_sparse(g: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> b
     early-exit subset scan.  Graphs past the scan cap whose quick disproof
     finds nothing are refused rather than guessed at.
     """
+    return _certified_sparse(g, n, q, edge_cap, _VerdictMemo(n, q, g.edge_count))
+
+
+def _certified_sparse(g: Graph, n: int, q, edge_cap: int, memo: _VerdictMemo) -> bool:
+    """certified_sparse with the verdicts kept in memo, which must be at
+    (n, q) and cover g's edge count; a sweep shares one over its hosts."""
     m = g.edge_count
     if m == 0:
         return True
     if safe_edge_bound(n, q, min(g.n, 2 * m), m) >= m:
         return True
-    if m > 15 and _VerdictMemo(n, q, m).seed_violation(g) is not None:
+    if m > 15 and memo.seed_violation(g) is not None:
         return False
     if m > edge_cap:
         raise EdgeCapError(
             f"cannot certify {m} edges: exact scan capped at {edge_cap} and the "
             "quick disproof found no violation"
         )
-    verdict, _, _ = violation_scan(g, n, q, early_exit=True)
-    return verdict
+    return next(memo.violations(g), None) is None
 
 
 def _strip_isolates(g: Graph) -> Graph:
@@ -178,9 +182,10 @@ def exhaustive_sweep(
     _check_pattern(F)
     _require_feasible(n, q)
     counter = _make_counter(F)
+    memo = _VerdictMemo(n, q, math.comb(v_cap, 2))
 
     def examine(g: Graph):
-        if not certified_sparse(g, n, q, edge_cap):
+        if not _certified_sparse(g, n, q, edge_cap, memo):
             return None
         return (counter(g), to_graph6(g), g)
 

@@ -1,6 +1,10 @@
 """Edge-subset scans against brute force: class table, pruned path,
-violation scan, certified_sparse on big hosts, heuristic mode."""
+violation scan, certified_sparse on big hosts, heuristic mode, the
+walker's degree-symmetry bound and the pruned table against the full one."""
 
+import math
+import random
+from collections import Counter
 from fractions import Fraction
 from functools import cmp_to_key
 
@@ -26,7 +30,13 @@ from kklab import (
     violation_scan,
 )
 from kklab.exact import DEFAULT_DIGITS
-from kklab.expectation import _build_report, _pruned_classes, scan_subgraph_classes
+from kklab.expectation import (
+    _build_report,
+    _gray_steps,
+    _pruned_classes,
+    _seed_masks,
+    scan_subgraph_classes,
+)
 
 SMALL_HOSTS = [g for v in range(2, 6) for g in graphs_on(v) if g.edge_count]
 
@@ -199,3 +209,106 @@ class TestHeuristicMode:
         assert all(v <= cap for _, v, _, _, _ in table_rows(report))
         assert value_cmp(report.threshold, want.threshold) == 0
         assert report.witness_edges == want.witness_edges
+
+
+class TestWalkerSym:
+    @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+    def test_degree_symmetry_bound(self, v):
+        auts = {}
+        for H in graphs_on(v):
+            for mask, nv, e, sym in _gray_steps(H):
+                sub = tuple(H.edges[i] for i in range(H.edge_count) if mask >> i & 1)
+                J = strip(sub)
+                class_sizes = Counter(J.degrees()).values()
+                assert (nv, e) == (J.n, len(sub))
+                assert sym == math.prod(math.factorial(c) for c in class_sizes)
+                key = (J.n, J.edges)
+                if key not in auts:
+                    auts[key] = automorphism_count(J)
+                assert auts[key] <= sym
+
+
+def seed_bound(H: Graph, n: int, target_den: int):
+    """Best threshold among the full edge set, a single edge and the
+    densest part, with every aut counted from scratch."""
+    best = None
+    for mask in (*_seed_masks(H), 1):
+        J = strip(tuple(H.edges[i] for i in range(H.edge_count) if mask >> i & 1))
+        thr = class_threshold(n, target_den, J.n, J.edge_count, automorphism_count(J))
+        if best is None or value_cmp(thr, best) > 0:
+            best = thr
+    return best
+
+
+def class_threshold(n, target_den, v, e, aut):
+    return make_value(Fraction(aut, target_den * math.perm(n, v)), e)
+
+
+def random_host(seed: int, v: int, m: int) -> Graph:
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    return Graph(v, sorted(random.Random(seed).sample(pairs, m)))
+
+
+PRUNED_BIG_HOSTS = [
+    disjoint_union(complete_graph(4), complete_graph(4), complete_graph(3)),
+    disjoint_union(*[complete_graph(3)] * 5),
+    cycle_graph(15),
+    path_power_graph(9, 2),
+    petersen_graph(),
+    random_host(1, 9, 15),
+    random_host(2, 10, 16),
+]
+
+
+class TestPrunedTableOracle:
+    """The pruned report equals the full table restricted to the classes at
+    or above the seed bound: rows, counts, descriptors and the verdict."""
+
+    def check(self, H, table, n, target_den):
+        bound = seed_bound(H, n, target_den)
+        kept = {
+            key: row for key, row in table.items()
+            if value_cmp(class_threshold(n, target_den, *key), bound) >= 0
+        }
+        want = _build_report(
+            H, n, target_den, kept, DEFAULT_DIGITS, table_complete=False
+        )
+        got = _build_report(
+            H, n, target_den, _pruned_classes(H, n, target_den),
+            DEFAULT_DIGITS, table_complete=False,
+        )
+        assert got.classes == want.classes
+        assert value_cmp(got.threshold, want.threshold) == 0
+        assert got.base_pair == want.base_pair
+        assert got.witness_edges == want.witness_edges
+
+    @pytest.mark.parametrize("v", [4, 5, 6])
+    def test_catalog_hosts(self, v):
+        for H in graphs_on(v):
+            if not H.edge_count:
+                continue
+            table = scan_subgraph_classes(H)
+            for n in (v, v + 5):
+                for target_den in (1, 2):
+                    self.check(H, table, n, target_den)
+
+    @pytest.mark.parametrize("H", PRUNED_BIG_HOSTS, ids=to_graph6)
+    def test_big_hosts(self, H):
+        assert H.edge_count in (15, 16)
+        table = scan_subgraph_classes(H)
+        for n in (H.n, H.n + 5):
+            for target_den in (1, 2):
+                self.check(H, table, n, target_den)
+
+
+class TestNewlyReachableHost:
+    def test_path_power_11_2(self):
+        # 19 edges: the (v, e) v!-bucket bound left 430,412 candidate subsets,
+        # past the 400k refusal; the degree-symmetry bound is exact here
+        H = path_power_graph(11, 2)
+        n = 20
+        report = q_min(H, n)
+        assert report.base_pair == (3352212864000, 19)
+        lo, hi = report.enclosure
+        assert is_q_sparse(H, n, Fraction(hi)).sparse
+        assert not is_q_sparse(H, n, Fraction(lo) - Fraction(1, 10**12)).sparse

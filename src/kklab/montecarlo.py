@@ -3,9 +3,12 @@
 Two jobs live here.  First, seeded G(n,p) sampling with exact Bernoulli
 draws (p may be rational or an exact root value) feeding a bisection
 estimator for the median containment probability: the p at which a random
-graph contains a target pattern with probability one half.  Second, seeded
-generators that emit graphs certified q-sparse, either by repairing a
-random sample or by checking a structured family.
+graph contains a target pattern with probability one half.  ``sample_gnp``
+normalises p once per sample, then draws each pair exactly as ``bernoulli``
+would: one ``randrange(den)`` draw for a rational p (none at p = 0 or 1),
+the dyadic refinement for a Root p.  Second, seeded generators that emit
+graphs certified q-sparse, either by repairing a random sample or by
+checking a structured family.
 
 All randomness flows through counter-based streams derived from a master
 seed and a task label, so each trial's sample depends only on its label
@@ -55,26 +58,32 @@ def derive_rng(master_seed: int, *path) -> random.Random:
     return random.Random(int.from_bytes(digest, "big"))
 
 
-def bernoulli(rng: random.Random, p) -> bool:
-    """One exact Bernoulli(p) draw.
+def _dyadic_draw(rng: random.Random, p: Root) -> bool:
+    # u lies in [num/den, (num+1)/den); one more bit per round until p
+    # leaves the interval.  Unchecked: callers validate p first.
+    num, den = 0, 1
+    while True:
+        num = num * 2 + rng.getrandbits(1)
+        den *= 2
+        if p >= Fraction(num + 1, den):
+            return True
+        if p <= Fraction(num, den):
+            return False
 
-    Rational p costs a single bounded-integer draw.  Root-valued p is
-    decided by refining a random dyadic interval until it separates from p;
-    comparisons against the root are exact, so no float ever enters.
+
+def bernoulli(rng: random.Random, p) -> bool:
+    """One exact Bernoulli(p) draw; the per-pair reference for ``sample_gnp``.
+
+    Rational p costs a single ``randrange(den) < num`` draw, and none at
+    p = 0 or 1.  Root-valued p is decided by refining a random dyadic
+    interval until it separates from p; comparisons against the root are
+    exact, so no float ever enters.
     """
-    if isinstance(p, Root):
-        num, den = 0, 1
-        while True:
-            num = num * 2 + rng.getrandbits(1)
-            den *= 2
-            # u lies in [num/den, (num+1)/den); decide once p leaves the interval
-            if p >= Fraction(num + 1, den):
-                return True
-            if p <= Fraction(num, den):
-                return False
-    p = Fraction(p)
-    if p < 0 or p > 1:
+    if value_cmp(p, 0) < 0 or value_cmp(p, 1) > 0:
         raise PreconditionError(f"p={p} is not a probability")
+    if isinstance(p, Root):
+        return _dyadic_draw(rng, p)
+    p = Fraction(p)
     if p == 0:
         return False
     if p == 1:
@@ -83,18 +92,25 @@ def bernoulli(rng: random.Random, p) -> bool:
 
 
 def sample_gnp(n: int, p, rng: random.Random) -> Graph:
-    """Sample G(n,p): each of the C(n,2) pairs kept independently."""
+    """Sample G(n,p): each of the C(n,2) pairs kept independently.
+
+    p is checked and normalised once per sample, and the pairs draw in
+    order exactly as ``bernoulli`` would: rational p makes one
+    ``randrange(den)`` draw per pair and none at p = 0 or 1; a Root p
+    runs the dyadic refinement per pair.
+    """
     if n < 0:
         raise PreconditionError(f"vertex count {n} is negative")
     if value_cmp(p, 0) < 0 or value_cmp(p, 1) > 0:
         raise PreconditionError(f"p={p} is not a probability")
-    edges = [
-        (i, j)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if bernoulli(rng, p)
-    ]
-    return Graph(n, edges)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if isinstance(p, Root):
+        return Graph(n, [e for e in pairs if _dyadic_draw(rng, p)])
+    p = Fraction(p)
+    if p == 0 or p == 1:
+        return Graph(n, pairs if p else [])
+    num, den, randrange = p.numerator, p.denominator, rng.randrange
+    return Graph(n, [e for e in pairs if randrange(den) < num])
 
 
 # -- threshold estimation ----------------------------------------------------------

@@ -208,3 +208,99 @@ class TestGenerators:
     def test_unknown_family(self):
         with pytest.raises(PreconditionError):
             generate_sparse(10, Fraction(1, 2), "mystery")
+
+
+class TestSamplerOracle:
+    """``sample_gnp`` against the per-pair ``bernoulli`` reference."""
+
+    @pytest.mark.parametrize(
+        "p", [make_value(Fraction(5), 2), Fraction(-1, 2)], ids=["sqrt5", "minus_half"]
+    )
+    def test_out_of_range_probability_is_refused(self, p):
+        with pytest.raises(PreconditionError):
+            bernoulli(derive_rng(0, "range"), p)
+        with pytest.raises(PreconditionError):
+            sample_gnp(4, p, derive_rng(0, "range"))
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Fraction(0),
+            Fraction(1),
+            Fraction(1, 2),
+            Fraction(23, 256),
+            Fraction(3, 7),
+            Fraction(1, 3),
+            Fraction(999, 1000),
+            Fraction(1, 1000),
+            pytest.param(q_min(complete_graph(3), 10).threshold, id="qmin_K3_n10"),
+            pytest.param(make_value(Fraction(1, 120), 3), id="cbrt_1_120"),
+            pytest.param(make_value(Fraction(1, 2), 2), id="sqrt_1_2"),
+        ],
+        ids=str,
+    )
+    def test_draw_for_draw(self, p):
+        # non-dyadic denominators run randrange's rejection loop; equal
+        # states afterwards mean no draw was added or lost
+        for seed in range(40):
+            a = derive_rng(seed, "oracle", str(p))
+            b = derive_rng(seed, "oracle", str(p))
+            for n in (0, 1, 2, 7, 12):
+                reference = [
+                    (i, j) for i in range(n) for j in range(i + 1, n) if bernoulli(b, p)
+                ]
+                assert list(sample_gnp(n, p, a).edges) == reference
+                assert a.getstate() == b.getstate()
+
+
+def _probe(p, successes, wilson_low, wilson_high):
+    return {
+        "p": p, "successes": successes, "trials": 250,
+        "wilson_low": wilson_low, "wilson_high": wilson_high,
+    }
+
+
+_ALL = (0.9848667005045553, 0.9999999999999998)
+
+PINNED_PC = [
+    (
+        complete_graph(3), 20, 1787483971,
+        {
+            "n": 20, "pattern": "Bw", "trials": 250, "seed": 1787483971,
+            "tolerance": "1/100", "confidence": 0.95,
+            "p_hat": "23/256", "interval": ["5/64", "1/8"],
+            "probes": [
+                _probe("1/2", 250, *_ALL),
+                _probe("1/4", 250, *_ALL),
+                _probe("1/8", 205, 0.7676481206243572, 0.8626665676985582),
+                _probe("1/16", 60, 0.19124884041749646, 0.2966204753201347),
+                _probe("3/32", 126, 0.4424326671345239, 0.5654462664695125),
+                _probe("5/64", 97, 0.3297252242653439, 0.44966463482163566),
+                _probe("11/128", 114, 0.3953921335918012, 0.5179395967637979),
+            ],
+        },
+    ),
+    (
+        cycle_graph(4), 24, 1748025857,
+        {
+            "n": 24, "pattern": "Cl", "trials": 250, "seed": 1748025857,
+            "tolerance": "1/100", "confidence": 0.95,
+            "p_hat": "19/256", "interval": ["1/16", "5/64"],
+            "probes": [
+                _probe("1/2", 250, *_ALL),
+                _probe("1/4", 250, *_ALL),
+                _probe("1/8", 240, 0.9279472764187334, 0.9781300880454574),
+                _probe("1/16", 85, 0.28409658843703767, 0.40074606740150454),
+                _probe("3/32", 207, 0.7763472799248405, 0.8697252756061478),
+                _probe("5/64", 147, 0.5261050290746588, 0.6472315102141429),
+                _probe("9/128", 110, 0.37983697819773843, 0.5019790177417148),
+            ],
+        },
+    ),
+]
+
+
+@pytest.mark.parametrize("pattern,n,seed,expected", PINNED_PC, ids=["K3_n20", "C4_n24"])
+def test_pc_pinned_at_benchmark_scale(pattern, n, seed, expected):
+    result = estimate_pc(TrialPlan(n=n, pattern=pattern, trials=250, seed=seed))
+    assert result.to_json() == expected

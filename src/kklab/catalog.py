@@ -9,7 +9,7 @@ in a deterministic canonical order.
 
 from functools import lru_cache
 
-from .graphs import Graph, canonical_form, canonical_key
+from .graphs import Graph, _packed_key, canonical_form
 
 CATALOG_VERTEX_CAP = 10
 
@@ -32,10 +32,8 @@ def graphs_on(v: int) -> tuple:
             for u in range(v - 1):
                 if mask >> u & 1:
                     edges.append((u, v - 1))
-            cand = Graph(v, edges)
-            key = canonical_key(cand)
-            if key not in found:
-                found[key] = canonical_form(cand)
+            form = canonical_form(Graph(v, edges))
+            found.setdefault(_packed_key(form), form)
     return tuple(found[key] for key in sorted(found))
 
 

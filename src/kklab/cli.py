@@ -11,6 +11,15 @@ Exit codes: 0 success, 1 usage or input errors (unknown flag,
 unreadable file, malformed graph), 2 precondition violations with the
 witness printed to stderr, 3 resource-guard refusals.  Any other failure
 is a defect and surfaces as an uncaught exception.
+
+Import layers: importing this module loads only the base layers that
+graph loading, the argument types and the exit-code mapping need:
+``util``, ``exact``, ``graphs`` and ``counting``.  ``counting`` is one of
+them because it owns ``ResourceGuardError``, which ``main`` maps to exit
+code 3, and because every upper layer imports it anyway.  Each handler
+imports the upper layer it runs (``expectation``, ``verifier``,
+``montecarlo`` or ``search``) when it runs, so a command starts up on
+the layers it uses and no others.
 """
 
 from __future__ import annotations
@@ -36,16 +45,6 @@ from .counting import (
     packing_number,
 )
 from .exact import format_fraction, parse_exact, parse_rational, value_mul, value_to_json
-from .expectation import (
-    DEFAULT_EDGE_CAP,
-    DEFAULT_HEURISTIC_VERTEX_CAP,
-    EdgeCapError,
-    expectation_threshold,
-    expected_copies,
-    is_q_sparse,
-    q_min,
-    required_L,
-)
 from .graphs import (
     Graph,
     GraphParseError,
@@ -65,32 +64,18 @@ from .graphs import (
     theta_graph,
     to_graph6,
 )
-from .montecarlo import (
+from .util import (
     DEFAULT_CONFIDENCE,
+    DEFAULT_COOLING,
+    DEFAULT_EDGE_CAP,
+    DEFAULT_HEURISTIC_VERTEX_CAP,
     DEFAULT_TOLERANCE,
+    DEFAULT_TOP_K,
     DEFAULT_TRIALS,
     GENERATOR_FAMILIES,
-    TrialPlan,
-    derive_rng,
-    estimate_pc,
-    generate_sparse,
-)
-from .search import (
-    DEFAULT_COOLING,
-    DEFAULT_TOP_K,
     SWEEP_VERTEX_CAP,
-    exhaustive_sweep,
-    extremal_search,
-)
-from .util import PreconditionError
-from .verifier import (
-    count_legal_sequences,
-    ell_hat,
-    peel_min_degree,
-    verify_fit_partition,
-    verify_main_inequality,
-    verify_packing,
-    verify_structure,
+    EdgeCapError,
+    PreconditionError,
 )
 
 SCHEMA = "kklab/1"
@@ -390,6 +375,8 @@ def _cmd_aut(args):
 
 
 def _cmd_qmin(args):
+    from .expectation import q_min
+
     host = load_graph(args.graph)
     report = q_min(
         host,
@@ -403,12 +390,16 @@ def _cmd_qmin(args):
 
 
 def _cmd_pe(args):
+    from .expectation import expectation_threshold
+
     host = load_graph(args.graph)
     report = expectation_threshold(host, args.n, edge_cap=args.edge_cap, digits=args.precision)
     return _sparsity_doc(report, "p_E", args.precision), None
 
 
 def _cmd_sparse_check(args):
+    from .expectation import is_q_sparse
+
     host = load_graph(args.graph)
     check = is_q_sparse(host, args.n, args.q, edge_cap=args.edge_cap)
     doc = {
@@ -425,6 +416,8 @@ def _cmd_sparse_check(args):
 
 
 def _cmd_expect(args):
+    from .expectation import expected_copies
+
     pattern = load_graph(args.pattern)
     has_p = args.p is not None
     has_lq = args.L is not None and args.q is not None
@@ -441,6 +434,8 @@ def _cmd_expect(args):
 
 
 def _cmd_required_l(args):
+    from .expectation import required_L
+
     host = load_graph(args.graph)
     pattern = load_graph(args.pattern)
     req = required_L(
@@ -462,6 +457,8 @@ def _cmd_required_l(args):
 
 
 def _cmd_verify_props(args):
+    from .verifier import verify_packing, verify_structure
+
     host = load_graph(args.graph)
     reports = verify_structure(host, args.n, args.q)
     if args.pattern is not None:
@@ -476,6 +473,8 @@ def _cmd_verify_props(args):
 
 
 def _cmd_verify_fit(args):
+    from .verifier import verify_fit_partition
+
     host = load_graph(args.graph)
     pattern = load_graph(args.pattern)
     report = verify_fit_partition(
@@ -485,6 +484,8 @@ def _cmd_verify_fit(args):
 
 
 def _cmd_verify_legal(args):
+    from .verifier import count_legal_sequences
+
     result = count_legal_sequences(args.f, args.eps, args.d, args.D, args.d_cap)
     return {
         "schema": SCHEMA,
@@ -497,6 +498,8 @@ def _cmd_verify_legal(args):
 
 
 def _cmd_verify_main(args):
+    from .verifier import verify_main_inequality
+
     host = load_graph(args.graph)
     pattern = load_graph(args.pattern)
     report = verify_main_inequality(
@@ -506,6 +509,9 @@ def _cmd_verify_main(args):
 
 
 def _cmd_peel(args):
+    from .montecarlo import derive_rng
+    from .verifier import peel_min_degree
+
     host = load_graph(args.graph)
     pattern = load_graph(args.pattern)
     rng = derive_rng(args.seed, "peel") if args.seed is not None else None
@@ -522,6 +528,8 @@ def _cmd_peel(args):
 
 
 def _cmd_ellhat(args):
+    from .verifier import ell_hat
+
     result = ell_hat(args.n, args.q, args.delta)
     return {
         "schema": SCHEMA,
@@ -534,6 +542,8 @@ def _cmd_ellhat(args):
 
 
 def _cmd_pc(args):
+    from .montecarlo import TrialPlan, estimate_pc
+
     pattern = load_graph(args.pattern)
     plan = TrialPlan(
         n=args.n,
@@ -550,6 +560,8 @@ def _cmd_pc(args):
 
 
 def _cmd_gen(args):
+    from .montecarlo import derive_rng, generate_sparse
+
     params = {}
     for key in ("vertices", "boost", "sizes", "a", "b", "c", "legs", "power"):
         value = getattr(args, key, None)
@@ -575,6 +587,8 @@ def _cmd_gen(args):
 
 
 def _cmd_search(args):
+    from .search import extremal_search
+
     pattern = load_graph(args.pattern)
     result = extremal_search(
         args.n,
@@ -595,6 +609,8 @@ def _cmd_search(args):
 
 
 def _cmd_sweep(args):
+    from .search import exhaustive_sweep
+
     pattern = load_graph(args.pattern)
     result = exhaustive_sweep(
         args.n,
@@ -657,7 +673,9 @@ def _add_common(p, graph=False, pattern=False, n=False, q=False, threads=False,
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="kklab", description=__doc__, add_help=True)
+    # the import-layer note is for readers of the source, not of --help
+    description = __doc__.partition("\nImport layers:")[0]
+    parser = _Parser(prog="kklab", description=description, add_help=True)
     sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
 
     p = sub.add_parser("count", help="exact copy and embedding counts")

@@ -50,14 +50,12 @@ from .exact import (
     value_root,
 )
 from .graphs import Graph, automorphism_count, max_density, to_graph6
-from .util import PreconditionError
-
-DEFAULT_EDGE_CAP = 24
-DEFAULT_HEURISTIC_VERTEX_CAP = 8
-
-
-class EdgeCapError(RuntimeError):
-    """Exact subset scan refused; use heuristic mode or raise the cap."""
+from .util import (
+    DEFAULT_EDGE_CAP,
+    DEFAULT_HEURISTIC_VERTEX_CAP,
+    EdgeCapError,
+    PreconditionError,
+)
 
 
 # -- model parameter bundle ----------------------------------------------------

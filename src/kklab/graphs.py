@@ -841,11 +841,13 @@ def canonical_form(g: Graph) -> Graph:
 
 def canonical_key(g: Graph):
     """Hashable isomorphism invariant: (n, packed canonical adjacency)."""
-    cf = canonical_form(g)
+    return _packed_key(canonical_form(g))
+
+
+def _packed_key(cf: Graph):
+    """``canonical_key`` of a graph already in canonical form."""
     bits = 0
-    k = 0
     for j in range(1, cf.n):
         for i in range(j):
             bits = bits << 1 | (cf.adj[i] >> j & 1)
-            k += 1
     return (cf.n, bits)

@@ -38,13 +38,13 @@ from .graphs import (
     theta_graph,
     to_graph6,
 )
-from .util import PreconditionError
-
-DEFAULT_TRIALS = 2000
-DEFAULT_TOLERANCE = Fraction(1, 100)
-DEFAULT_CONFIDENCE = 0.95
-
-GENERATOR_FAMILIES = ("gnp-repair", "clique-union", "theta", "spider", "path-power")
+from .util import (
+    DEFAULT_CONFIDENCE,
+    DEFAULT_TOLERANCE,
+    DEFAULT_TRIALS,
+    GENERATOR_FAMILIES,
+    PreconditionError,
+)
 
 
 def derive_rng(master_seed: int, *path) -> random.Random:

@@ -29,8 +29,6 @@ from .exact import (
     value_to_json,
 )
 from .expectation import (
-    DEFAULT_EDGE_CAP,
-    EdgeCapError,
     _VerdictMemo,
     expected_copies,
     required_L,
@@ -38,12 +36,16 @@ from .expectation import (
 )
 from .graphs import Graph, canonical_form, parse_graph6, to_graph6
 from .montecarlo import _repair_edge, derive_rng
-from .util import PreconditionError
+from .util import (
+    DEFAULT_COOLING,
+    DEFAULT_EDGE_CAP,
+    DEFAULT_TOP_K,
+    SWEEP_VERTEX_CAP,
+    EdgeCapError,
+    PreconditionError,
+)
 
 DEFAULT_HOST_CAP = 12
-DEFAULT_TOP_K = 5
-DEFAULT_COOLING = 0.999
-SWEEP_VERTEX_CAP = 8
 WARMUP_DOWNHILL = 32
 
 

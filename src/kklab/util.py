@@ -1,4 +1,30 @@
-"""Small shared helpers: bit iteration and the precondition error."""
+"""Small shared helpers and the names the command line reads at start-up.
+
+Besides bit iteration, this module holds the two refusal types every
+layer may raise (``PreconditionError`` and ``EdgeCapError``) and the
+defaults the CLI parser shows: the subset-scan caps of ``expectation``,
+the Monte Carlo defaults and generator families of ``montecarlo``, and
+the annealer and sweep limits of ``search``.  Those modules re-export
+them, so each name has one object wherever it is imported from, and
+building the parser imports none of those upper layers.
+"""
+
+from fractions import Fraction
+
+# expectation: exact subset scans
+DEFAULT_EDGE_CAP = 24
+DEFAULT_HEURISTIC_VERTEX_CAP = 8
+
+# montecarlo: bisection estimates and certified generators
+DEFAULT_TRIALS = 2000
+DEFAULT_TOLERANCE = Fraction(1, 100)
+DEFAULT_CONFIDENCE = 0.95
+GENERATOR_FAMILIES = ("gnp-repair", "clique-union", "theta", "spider", "path-power")
+
+# search: annealer and exhaustive sweep
+DEFAULT_TOP_K = 5
+DEFAULT_COOLING = 0.999
+SWEEP_VERTEX_CAP = 8
 
 
 class PreconditionError(ValueError):
@@ -7,6 +33,10 @@ class PreconditionError(ValueError):
     def __init__(self, message: str, witness=None):
         super().__init__(message)
         self.witness = witness
+
+
+class EdgeCapError(RuntimeError):
+    """Exact subset scan refused; use heuristic mode or raise the cap."""
 
 
 def iter_bits(mask: int):

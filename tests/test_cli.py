@@ -1,11 +1,19 @@
 """Command line behavior: reports, exit codes, config files, determinism."""
 
+import argparse
+import hashlib
+import importlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from kklab import cli
+import kklab
+from kklab import cli, util
 from kklab.cli import load_graph, main
 
 
@@ -228,3 +236,199 @@ class TestRefusals:
         monkeypatch.setattr(cli, "_cmd_aut", broken)
         with pytest.raises(RuntimeError, match="internal failure"):
             main(["aut", "--graph", "K2"])
+
+
+# -- start-up: what each command imports ---------------------------------------
+
+SRC = str(pathlib.Path(kklab.__file__).resolve().parents[1])
+
+_LOADED_BY = """
+import contextlib, io, json, sys
+from kklab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("kklab."))]))
+"""
+
+BASE_LAYERS = {"kklab.cli", "kklab.util", "kklab.exact", "kklab.graphs", "kklab.counting"}
+
+
+def fresh_python(code: str, *args) -> str:
+    """stdout of ``code`` run in a new interpreter that imports this kklab."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True, text=True, timeout=120, env=dict(os.environ, PYTHONPATH=path),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestImportBoundaries:
+    def test_package_import_loads_no_submodule(self):
+        out = fresh_python("import kklab, sys; print([m for m in sys.modules if m.startswith('kklab.')])")
+        assert out.strip() == "[]"
+
+    def test_submodule_attribute_without_import(self):
+        out = fresh_python("import kklab; print(kklab.search.SWEEP_VERTEX_CAP)")
+        assert out.strip() == "8"
+
+    @pytest.mark.parametrize(
+        "argv, upper",
+        [
+            (["aut", "--graph", "K2"], set()),
+            (["count", "--graph", "K5", "--pattern", "K3"], set()),
+            (["pack", "--graph", "K4", "--pattern", "P2"], set()),
+            (["sparse-check", "--graph", "K3", "--n", "10", "--q", "1/10"], {"kklab.expectation"}),
+            (["qmin", "--graph", "K3", "--n", "10"], {"kklab.expectation"}),
+            (["pe", "--graph", "K3", "--n", "10"], {"kklab.expectation"}),
+        ],
+        ids=["aut", "count", "pack", "sparse-check", "qmin", "pe"],
+    )
+    def test_command_loads_only_its_layers(self, argv, upper):
+        code, loaded = json.loads(fresh_python(_LOADED_BY, json.dumps(argv)))
+        assert code == 0
+        assert set(loaded) == BASE_LAYERS | upper
+        assert not set(loaded) & {"kklab.search", "kklab.montecarlo", "kklab.verifier", "kklab.catalog"}
+
+
+# -- the package's lazy exports --------------------------------------------------
+
+# every public name the package exported when it imported all its modules
+# eagerly, under the module it was imported from then
+PACKAGE_EXPORTS = {
+    "catalog": ("graphs_on", "graphs_up_to", "trees_on", "trees_up_to"),
+    "counting": (
+        "ResourceGuardError", "copies_as_edge_masks", "count_cliques", "count_copies",
+        "count_cycles", "count_labeled", "count_xy_paths", "frontier_estimate",
+        "iter_labeled", "max_xy_paths", "packing_number",
+    ),
+    "exact": (
+        "Root", "cmp_with_e_power", "decimal_enclosure", "format_fraction", "make_value",
+        "parse_exact", "parse_rational", "value_cmp", "value_div", "value_float",
+        "value_mul", "value_pow", "value_root", "value_to_json",
+    ),
+    "expectation": (
+        "DEFAULT_EDGE_CAP", "EdgeCapError", "RequiredL", "SparseCheck", "SparsityReport",
+        "ThresholdClass", "expectation_threshold", "expected_copies",
+        "falling_factorial_bound_check", "is_q_sparse", "peel_threshold_a", "q_min",
+        "required_L", "safe_edge_bound", "violation_scan",
+    ),
+    "graphs": (
+        "DensityValue", "Graph", "GraphParseError", "automorphism_count", "bowtie_graph",
+        "canonical_form", "canonical_key", "complete_graph", "cycle_graph", "density",
+        "disjoint_union", "empty_graph", "max_density", "max_density_bruteforce",
+        "parse_edge_list", "parse_graph", "parse_graph6", "path_graph", "path_power_graph",
+        "petersen_graph", "spider_graph", "star_graph", "theta_graph", "to_edge_list",
+        "to_graph6",
+    ),
+    "montecarlo": (
+        "EstimateResult", "GENERATOR_FAMILIES", "Probe", "TrialPlan", "bernoulli",
+        "derive_rng", "estimate_pc", "generate_sparse", "sample_gnp", "wilson_interval",
+    ),
+    "search": (
+        "LeaderboardEntry", "SearchResult", "SweepResult", "certified_sparse",
+        "exhaustive_sweep", "extremal_search", "score_pair_cmp",
+    ),
+    "util": ("PreconditionError",),
+    "verifier": (
+        "EllHatResult", "FitRecord", "LegalCount", "PeelResult", "PropositionReport",
+        "count_legal_sequences", "ell_hat", "fit_decompose", "peel_min_degree",
+        "verify_fit_partition", "verify_main_inequality", "verify_packing", "verify_structure",
+    ),
+}
+
+# names that moved into util so the CLI parser needs no upper layer
+MOVED_TO_UTIL = {
+    "EdgeCapError": ("expectation", "search"),
+    "DEFAULT_EDGE_CAP": ("expectation", "search"),
+    "DEFAULT_HEURISTIC_VERTEX_CAP": ("expectation",),
+    "DEFAULT_TRIALS": ("montecarlo",),
+    "DEFAULT_TOLERANCE": ("montecarlo",),
+    "DEFAULT_CONFIDENCE": ("montecarlo",),
+    "GENERATOR_FAMILIES": ("montecarlo",),
+    "DEFAULT_TOP_K": ("search",),
+    "DEFAULT_COOLING": ("search",),
+    "SWEEP_VERTEX_CAP": ("search",),
+}
+
+
+class TestLazyExports:
+    def test_all_is_the_old_export_list(self):
+        names = sorted(name for names in PACKAGE_EXPORTS.values() for name in names)
+        assert len(names) == 100
+        assert sorted(kklab.__all__) == names
+
+    def test_each_name_is_its_module_object(self):
+        for module, names in PACKAGE_EXPORTS.items():
+            home = importlib.import_module(f"kklab.{module}")
+            for name in names:
+                assert getattr(kklab, name) is getattr(home, name), name
+
+    def test_submodules_and_dir(self):
+        listed = dir(kklab)
+        for module in PACKAGE_EXPORTS:
+            assert getattr(kklab, module) is importlib.import_module(f"kklab.{module}")
+            assert module in listed
+        assert set(kklab.__all__) <= set(listed)
+
+    def test_unknown_attribute(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            kklab.no_such_name
+
+    def test_moved_names_keep_one_object(self):
+        for name, old_homes in MOVED_TO_UTIL.items():
+            for module in old_homes:
+                old = importlib.import_module(f"kklab.{module}")
+                assert getattr(old, name) is getattr(util, name), (module, name)
+
+
+# -- the parser ----------------------------------------------------------------
+
+# sha256 of each subcommand's format_help() at COLUMNS=100 (argparse as in
+# Python 3.11); guards the defaults, choices and help texts the parser shows
+HELP_SHA256 = {
+    "count": "3f406b08ed356506927a41c581ef446f1e19941dbec45f9117d3e0d9372aa6a0",
+    "gamma": "8ec30ae0c5030f990b193f5762bc0e195841ebefb3b1362eeda4d486da8a58ee",
+    "pack": "05ae53e1c3d14b02150787734bc0bb4a9eaa3c7e541bdccd75c2827b95a0d841",
+    "density": "2d7450d3f2a73363ae0a80e8c331bd8e8c22c41ad371abac98b45b0c1615adcb",
+    "aut": "2b7cf98570cdf5bfe9036e2f029a7dcf8ec3e21ade7d0626982753933e1c5a2b",
+    "qmin": "f71540a8bd8981ef33b25804d26802cab280a43bee1e5667c10e957955fad2d2",
+    "pe": "f566c33aeaa2f2283ad87344f36b82cabb5c5683cfebefc09e66943e5c40a058",
+    "sparse-check": "e727db3f538fa00ad30910ca4bd1f28d66c0cb9630cf6bfb48b02757479926f2",
+    "expect": "268fd50c679aa31efbbce6a3206d68cea925169e7b63720a575f4aa13a776026",
+    "required-l": "0abdef43c5b8d4a43c22365c2a5b003c2b389349bcd061dfbf0a3fe1bf4e2013",
+    "verify": "2ac2c17c6c006c646973ea9a2497d095b883529ccdf0c61ea3fe0661deb8780e",
+    "verify props": "a1130d3c586c930be863503ccaf4913dcb80993693189985edd2af841589c501",
+    "verify fit": "12f322ddceca2cf0188f63bac8275945433bb6bb27db236fab8559cc65d23f2b",
+    "verify legal": "eedbc76c0f9622e06396257cc844a65f5f32ff8cb9097a2d97eb774d16b7e519",
+    "verify main": "db1bdb9159e1cab69c6c1ac2eb7921fbddc4cc775fc5fcf0cd1cefab64b1e448",
+    "peel": "acb2eaba89f308def012e799f0cdfd9567717469f740be133d57fb554dfef22d",
+    "ellhat": "35a82fffbe9efe145bc008a5d653ec7d686a03db518855bb65d3176745e58af4",
+    "pc": "85ab60db628aa5412027399b541e56991181e35e2698eefcd4950fffb6df37d6",
+    "gen": "7e824528693648c0fb2881a2377e819bef30ab6629f289df0f58154260e244f0",
+    "search": "4db1421db72de1d11975245f79edecb6d72c71ef27ac32fd531b93f017122b67",
+    "sweep": "954be5e00383a8cdc3ad1714de01384075f5858edbf007b50d2e9dcbcee6237c",
+}
+
+
+def _subparsers(parser) -> dict:
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+class TestParser:
+    def test_help_is_pinned(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "100")
+        digests = {}
+        for name, sub in _subparsers(cli.build_parser()).items():
+            digests[name] = hashlib.sha256(sub.format_help().encode()).hexdigest()
+            for mode, vsub in _subparsers(sub).items():
+                digests[f"{name} {mode}"] = hashlib.sha256(vsub.format_help().encode()).hexdigest()
+        assert digests == HELP_SHA256
+
+    def test_edge_cap_refusal_exits_3(self, capsys):
+        code, out, err = run(capsys, "qmin", "--graph", "K3", "--n", "10", "--edge-cap", "-1")
+        assert code == 3 and out == "" and "resource guard" in err

@@ -9,14 +9,10 @@ each object is seen exactly once, and must agree with the generic oracle.
 
 All counters take an optional node budget, one per call, spent by a
 single serial walk, so a refusal never depends on how the work is run.
-When the running node count exceeds it (or, for the generic counter,
-the upfront frontier estimate does), counting refuses with
+When the running node count exceeds it (or, for the generic embedding
+walk, the upfront frontier estimate does), counting refuses with
 ``ResourceGuardError`` rather than returning a truncated value.
 """
-
-import math
-import time
-from dataclasses import dataclass
 
 from .graphs import Graph, automorphism_count, degeneracy_order
 from .util import iter_bits
@@ -27,14 +23,6 @@ DEFAULT_COPY_CAP = 200_000
 
 class ResourceGuardError(RuntimeError):
     """Work refused because it would exceed a configured resource budget."""
-
-
-@dataclass(frozen=True)
-class CountResult:
-    pattern: str
-    count: int
-    method: str
-    elapsed_s: float | None = None
 
 
 class _Budget:
@@ -176,27 +164,35 @@ def _run_embedding(host: Graph, pattern: Graph, budget, on_hit):
     return hits
 
 
-def count_labeled(host: Graph, pattern: Graph, node_budget=None) -> int:
-    """Number of labeled embeddings of ``pattern`` into ``host``."""
+def _embedding_budget(host: Graph, pattern: Graph, node_budget):
+    """The budget for one embedding walk, None when the pattern cannot fit;
+    refuses up front when the frontier estimate exceeds the budget."""
     if pattern.n == 0:
         raise ValueError("pattern needs at least one vertex")
     if pattern.n > host.n:
-        return 0
+        return None
     budget = _Budget(node_budget)
     if frontier_estimate(host, pattern) > budget.limit:
         raise ResourceGuardError(
             f"frontier estimate exceeds node budget {budget.limit}"
         )
+    return budget
+
+
+def count_labeled(host: Graph, pattern: Graph, node_budget=None) -> int:
+    """Number of labeled embeddings of ``pattern`` into ``host``."""
+    budget = _embedding_budget(host, pattern, node_budget)
+    if budget is None:
+        return 0
     return _run_embedding(host, pattern, budget, lambda a: False)
 
 
 def iter_labeled(host: Graph, pattern: Graph, node_budget=None):
-    """Yield each labeled embedding as a tuple indexed by pattern vertex."""
-    if pattern.n == 0:
-        raise ValueError("pattern needs at least one vertex")
-    if pattern.n > host.n:
+    """Yield each labeled embedding as a tuple indexed by pattern vertex;
+    refuses on the same estimate and budget as ``count_labeled``."""
+    budget = _embedding_budget(host, pattern, node_budget)
+    if budget is None:
         return
-    budget = _Budget(node_budget)
     plan = _match_plan(pattern)
     out = []
 

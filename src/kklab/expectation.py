@@ -21,14 +21,15 @@ keeps (v, e, sym) up to date in O(1) per step, where sym = prod_d m_d! over
 the spanned vertices' degree classes (m_d vertices of degree d).
 Automorphisms preserve degree, so aut <= sym <= v!: a subset whose
 expectation or threshold is settled by sym alone needs no automorphism
-count.  The class sink, ``_class_table``, counts subsets into (v, e, aut)
-classes, for every subset (the full table) or for the (v, e, sym) groups
-whose cap can still reach a seeded lower bound (the pruned path).  The
-verdict sink, ``_VerdictMemo``, yields the subsets whose expectation is
-below 1 at one (n, q); a subset can violate only if (n)_v/sym * q^e < 1,
-and both that test and each exact class verdict are cached.  The full
-edge set and the densest part (``_seed_masks``) seed the pruned path's
-bound and the cheap disproof of sparsity.
+count.  The class sink, ``scan_subgraph_classes``, counts every subset
+into its (v, e, aut) class (the full table).  On larger hosts the pruned
+path walks once, keeps the subsets whose (v, e, sym) cap can still reach
+a seeded lower bound, and classifies only those.  The verdict sink,
+``_VerdictMemo``, yields the subsets whose expectation is below 1 at one
+(n, q); a subset can violate only if (n)_v/sym * q^e < 1, and both that
+test and each exact class verdict are cached.  The full edge set and the
+densest part (``_seed_masks``) seed the pruned path's bound and the cheap
+disproof of sparsity.
 """
 
 import math
@@ -58,58 +59,6 @@ from .util import (
 )
 
 
-# -- model parameter bundle ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ModelParams:
-    """Ambient model quantities: n, edge probabilities q <= p, ratio L.
-
-    d = n*p and eps = 1/L are carried for the decomposition machinery; the
-    exponent c with n*q = n^c is display-only (never used in exact checks)
-    and is absent when q <= 1/n.
-    """
-
-    n: int
-    q: ExactValue | None = None
-    p: ExactValue | None = None
-    L: Fraction | None = None
-    d: ExactValue | None = None
-    eps: Fraction | None = None
-    c: float | None = None
-
-    @staticmethod
-    def create(n: int, q=None, p=None, L=None) -> "ModelParams":
-        if n < 1:
-            raise PreconditionError("n must be a positive integer")
-        if L is not None:
-            L = Fraction(L)
-            if L <= 0:
-                raise PreconditionError("L must be positive")
-        if q is not None and p is not None and L is not None:
-            if value_cmp(p, value_mul(L, q)) != 0:
-                raise PreconditionError("inconsistent parameters: p != L*q")
-        elif q is not None and L is not None:
-            p = value_mul(L, q)
-        elif q is not None and p is not None:
-            pass
-        for name, val in (("q", q), ("p", p)):
-            if val is not None and not (
-                value_cmp(val, 0) >= 0 and value_cmp(val, 1) <= 0
-            ):
-                raise PreconditionError(f"{name} must lie in [0, 1]")
-        if q is not None and p is not None and value_cmp(q, p) > 0:
-            raise PreconditionError("q must not exceed p")
-        d = value_mul(Fraction(n), p) if p is not None else None
-        eps = 1 / L if L is not None else None
-        c = None
-        if q is not None and n > 1 and value_cmp(q, Fraction(1, n)) > 0:
-            from .exact import value_float
-
-            c = math.log2(n * value_float(q)) / math.log2(n)
-        return ModelParams(n=n, q=q, p=p, L=L, d=d, eps=eps, c=c)
-
-
 # -- expectation formulas --------------------------------------------------------
 
 
@@ -131,52 +80,6 @@ def expected_copies(n: int, p, J: Graph) -> ExactValue:
     return value_mul(base, value_pow(p, J.edge_count))
 
 
-def expected_labeled(n: int, p, J: Graph) -> ExactValue:
-    """Exact expected number of labeled embeddings of J into G(n,p)."""
-    _check_probability(p)
-    if J.n == 0:
-        raise PreconditionError("pattern needs at least one vertex")
-    if J.n > n:
-        return Fraction(0)
-    base = Fraction(math.perm(n, J.n))
-    if J.edge_count == 0:
-        return base
-    return value_mul(base, value_pow(p, J.edge_count))
-
-
-def expected_cliques(n: int, r: int, p) -> ExactValue:
-    """Closed form C(n,r) * p^C(r,2); must agree with the generic formula."""
-    _check_probability(p)
-    if r < 1:
-        raise PreconditionError("clique order must be >= 1")
-    if r > n:
-        return Fraction(0)
-    base = Fraction(math.comb(n, r))
-    ex = math.comb(r, 2)
-    return base if ex == 0 else value_mul(base, value_pow(p, ex))
-
-
-def expected_cycles(n: int, k: int, p) -> ExactValue:
-    """Closed form (n)_k/(2k) * p^k; must agree with the generic formula."""
-    _check_probability(p)
-    if k < 3:
-        raise PreconditionError("cycle length must be >= 3")
-    if k > n:
-        return Fraction(0)
-    return value_mul(Fraction(math.perm(n, k), 2 * k), value_pow(p, k))
-
-
-def expected_tree_labeled(n: int, j: int, p) -> ExactValue:
-    """Closed form (n)_{j+1} * p^j for labeled embeddings of any tree with j edges."""
-    _check_probability(p)
-    if j < 0:
-        raise PreconditionError("edge count must be >= 0")
-    if j + 1 > n:
-        return Fraction(0)
-    base = Fraction(math.perm(n, j + 1))
-    return base if j == 0 else value_mul(base, value_pow(p, j))
-
-
 # -- subgraph class scan -----------------------------------------------------------
 
 _AUT_MEMO: dict = {}
@@ -196,8 +99,8 @@ def _normalize_subset(sub_edges, vmask: int):
     return tuple((relabel[a], relabel[b]) for a, b in sub_edges)
 
 
-def _aut_of_subset(sub_edges, vmask: int, v: int) -> tuple:
-    """(aut count, normalized edge tuple) with a global memo."""
+def _aut_of_subset(sub_edges, vmask: int, v: int) -> int:
+    """Automorphism count of the subset's spanned graph, with a global memo."""
     norm = _normalize_subset(sub_edges, vmask)
     key = (v, norm)
     got = _AUT_MEMO.get(key)
@@ -206,7 +109,7 @@ def _aut_of_subset(sub_edges, vmask: int, v: int) -> tuple:
             _AUT_MEMO.clear()
         got = automorphism_count(Graph(v, list(norm)))
         _AUT_MEMO[key] = got
-    return got, norm
+    return got
 
 
 def _subset_graph(tup) -> Graph:
@@ -286,7 +189,7 @@ def _class_of_mask(H: Graph, mask: int):
     """((v, e, aut), edge tuple) of one edge subset of H."""
     sub, vm = _subset_of_mask(H, mask)
     v = vm.bit_count()
-    aut, _ = _aut_of_subset(sub, vm, v)
+    aut = _aut_of_subset(sub, vm, v)
     return (v, len(sub), aut), tuple(sub)
 
 
@@ -301,22 +204,13 @@ def _add_class(classes: dict, key: tuple, tup: tuple) -> None:
             cur[1] = tup
 
 
-def _class_table(H: Graph, groups=None) -> dict:
-    """Class sink: (v, e, aut) -> [subset count, lex-min edge tuple].
-
-    Walks every nonempty edge subset of H, or only those whose (v, e, sym)
-    group is in ``groups`` when it is given.
-    """
-    classes: dict = {}
-    for mask, v, e, sym in _gray_steps(H):
-        if groups is None or (v, e, sym) in groups:
-            _add_class(classes, *_class_of_mask(H, mask))
-    return classes
-
-
 def scan_subgraph_classes(H: Graph) -> dict:
-    """All nonempty edge subsets of H grouped by (v, e, aut)."""
-    return _class_table(H)
+    """Class sink over all nonempty edge subsets of H:
+    (v, e, aut) -> [subset count, lex-min edge tuple]."""
+    classes: dict = {}
+    for mask, _, _, _ in _gray_steps(H):
+        _add_class(classes, *_class_of_mask(H, mask))
+    return classes
 
 
 FULL_TABLE_EDGE_CAP = 14
@@ -336,25 +230,24 @@ def _seed_masks(H: Graph) -> tuple:
     return (1 << H.edge_count) - 1, dense
 
 
+_PRUNED_MEMBER_CAP = 400_000
+
+
 def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
     """The classes whose threshold is at least a seeded lower bound, for
     hosts too large for the full table.
 
-    The walker groups subsets by (v, e, sym).  Since aut <= sym, a class's
-    threshold (aut/(t*(n)_v))^(1/e) is at most the cap
-    (sym/(t*(n)_v))^(1/e) of every group holding one of its members.  The
-    starting bound t_start is the best threshold among the full edge set,
-    a single edge and the densest part; groups whose cap is below it are
-    skipped without any automorphism work.  Every member of a class at or
-    above t_start lies in a surviving group, so exactly those classes are
-    kept, each with the subset count and lex-min edge tuple of the full
-    table, and their maximum is the exact threshold.
+    The starting bound t_start is the best threshold among the full edge
+    set, a single edge and the densest part.  Since aut <= sym, a subset's
+    class threshold (aut/(t*(n)_v))^(1/e) is at most its cap
+    (sym/(t*(n)_v))^(1/e).  One walk tests each subset's cap against
+    t_start, memoized per (v, e, sym), and keeps the masks that pass
+    without any automorphism work; past the member cap it only counts
+    them, for the refusal.  Every member of a class at or above t_start
+    is kept, so classifying the kept masks gives exactly those classes,
+    each with the subset count and lex-min edge tuple of the full table,
+    and their maximum is the exact threshold.
     """
-    hist: dict = {}
-    for _, v, e, sym in _gray_steps(H):
-        key = (v, e, sym)
-        hist[key] = hist.get(key, 0) + 1
-
     t_start = max(
         (
             _class_threshold(n, target_den, *_class_of_mask(H, mask)[0])
@@ -366,14 +259,26 @@ def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
     def reaches_start(key) -> bool:
         return value_cmp(_class_threshold(n, target_den, *key), t_start) >= 0
 
-    survivors = {key for key in hist if reaches_start(key)}
-    member_budget = sum(hist[key] for key in survivors)
-    if member_budget > 400_000:
+    caps: dict = {}
+    kept = []
+    members = 0
+    for mask, v, e, sym in _gray_steps(H):
+        key = (v, e, sym)
+        survives = caps.get(key)
+        if survives is None:
+            survives = caps[key] = reaches_start(key)
+        if survives:
+            members += 1
+            if members <= _PRUNED_MEMBER_CAP:
+                kept.append(mask)
+    if members > _PRUNED_MEMBER_CAP:
         raise EdgeCapError(
             "degree-symmetry pruning left too many candidate subsets "
-            f"({member_budget}); the host is too dense for an exact scan"
+            f"({members}); the host is too dense for an exact scan"
         )
-    classes = _class_table(H, survivors)
+    classes: dict = {}
+    for mask in kept:
+        _add_class(classes, *_class_of_mask(H, mask))
     return {key: row for key, row in classes.items() if reaches_start(key)}
 
 
@@ -546,6 +451,16 @@ def _spanning_connected(sub_edges, vset: int) -> bool:
     return len(seen) == vset.bit_count()
 
 
+def _exact_report(H: Graph, n: int, target_den: int, digits: int) -> SparsityReport:
+    """The exact report from the full class table, or from the pruned
+    classes when H has more than FULL_TABLE_EDGE_CAP edges."""
+    if H.edge_count <= FULL_TABLE_EDGE_CAP:
+        classes = scan_subgraph_classes(H)
+        return _build_report(H, n, target_den, classes, digits)
+    classes = _pruned_classes(H, n, target_den)
+    return _build_report(H, n, target_den, classes, digits, table_complete=False)
+
+
 def q_min(
     H: Graph,
     n: int,
@@ -566,11 +481,7 @@ def q_min(
             f"exact scan over 2^{H.edge_count} edge subsets exceeds the cap of "
             f"{edge_cap} edges; use mode='heuristic' for a flagged lower bound"
         )
-    if H.edge_count <= FULL_TABLE_EDGE_CAP:
-        classes = scan_subgraph_classes(H)
-        return _build_report(H, n, 1, classes, digits)
-    classes = _pruned_classes(H, n, 1)
-    return _build_report(H, n, 1, classes, digits, table_complete=False)
+    return _exact_report(H, n, 1, digits)
 
 
 def expectation_threshold(
@@ -586,11 +497,7 @@ def expectation_threshold(
             f"exact scan over 2^{H.edge_count} edge subsets exceeds the cap of "
             f"{edge_cap} edges"
         )
-    if H.edge_count <= FULL_TABLE_EDGE_CAP:
-        classes = scan_subgraph_classes(H)
-        return _build_report(H, n, 2, classes, digits)
-    classes = _pruned_classes(H, n, 2)
-    return _build_report(H, n, 2, classes, digits, table_complete=False)
+    return _exact_report(H, n, 2, digits)
 
 
 # -- sparsity verdicts ------------------------------------------------------------
@@ -674,7 +581,7 @@ class _VerdictMemo:
         expectation below 1, else None."""
         sub, vm = _subset_of_mask(H, mask)
         v, e = vm.bit_count(), len(sub)
-        aut, _ = _aut_of_subset(sub, vm, v)
+        aut = _aut_of_subset(sub, vm, v)
         key = (v, e, aut)
         if key not in self.classes:
             expectation = value_mul(Fraction(math.perm(self.n, v), aut), self.powers[e])
@@ -769,6 +676,17 @@ def is_q_sparse(H: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> Sparse
     )
 
 
+def _require_sparse(H: Graph, n: int, q) -> None:
+    """Refuse a host that is not q-sparse, naming its violating subgraph."""
+    check = is_q_sparse(H, n, q)
+    if not check.sparse:
+        raise PreconditionError(
+            "host is not q-sparse at the supplied q; violating subgraph edges: "
+            f"{check.witness_edges}",
+            witness=check.witness,
+        )
+
+
 # -- conjecture constant ----------------------------------------------------------
 
 
@@ -798,13 +716,7 @@ def required_L(
     if F.n > n:
         raise PreconditionError("pattern larger than the ambient n has expectation 0")
     if not skip_sparsity_check:
-        check = is_q_sparse(H, n, q)
-        if not check.sparse:
-            raise PreconditionError(
-                "host is not q-sparse at the supplied q; violating subgraph edges: "
-                f"{check.witness_edges}",
-                witness=check.witness,
-            )
+        _require_sparse(H, n, q)
     copies = count_copies(H, F, node_budget=node_budget)
     expectation = expected_copies(n, q, F)
     if copies == 0:

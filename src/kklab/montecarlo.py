@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 from .counting import ResourceGuardError, contains
 from .exact import Root, format_fraction, value_cmp, value_mul
-from .expectation import SparseCheck, is_q_sparse
+from .expectation import is_q_sparse
 from .graphs import (
     Graph,
     complete_graph,

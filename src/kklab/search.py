@@ -12,7 +12,6 @@ keep every reported host certified q-sparse.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -20,12 +19,9 @@ from .catalog import graphs_on
 from .counting import count_cliques, count_copies, count_cycles
 from .exact import (
     DEFAULT_DIGITS,
-    decimal_enclosure,
     value_cmp,
-    value_div,
     value_float,
     value_mul,
-    value_root,
     value_to_json,
 )
 from .expectation import (
@@ -221,27 +217,6 @@ def exhaustive_sweep(
 
 
 # -- simulated annealing ------------------------------------------------------------
-
-
-@dataclass
-class SearchState:
-    """Mutable annealer state for one chain; the current host stays q-sparse."""
-
-    graph: Graph
-    copies: int
-    best_graph: Graph
-    best_copies: int
-    temperature: float | None
-    moves: int
-    rng: random.Random
-    expectation: object = None
-    pattern_edges: int = 0
-
-    def score_enclosure(self, digits: int = DEFAULT_DIGITS) -> tuple:
-        if self.copies == 0:
-            return ("0", "0")
-        ratio = value_div(Fraction(self.copies), self.expectation)
-        return decimal_enclosure(value_root(ratio, self.pattern_edges), digits)
 
 
 @dataclass(frozen=True)

@@ -13,20 +13,18 @@ exceeds log2 7); reports note when q is outside the guaranteed regime.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import (
     copies_as_edge_masks,
     count_copies,
-    count_labeled,
     iter_labeled,
     packing_number,
 )
 from .exact import (
     ceil_root,
     cmp_with_e_power,
-    decimal_enclosure,
     value_cmp,
     value_div,
     value_float,
@@ -34,7 +32,7 @@ from .exact import (
     value_pow,
     value_to_json,
 )
-from .expectation import expected_copies, is_q_sparse, required_L
+from .expectation import _require_sparse, expected_copies, required_L
 from .graphs import Graph, max_density, to_graph6
 from .util import PreconditionError, iter_bits
 
@@ -62,16 +60,6 @@ class PropositionReport:
         if self.note:
             out["note"] = self.note
         return out
-
-
-def _require_sparse(H: Graph, n: int, q):
-    check = is_q_sparse(H, n, q)
-    if not check.sparse:
-        raise PreconditionError(
-            "host is not q-sparse at the supplied q; violating subgraph edges: "
-            f"{check.witness_edges}",
-            witness=check.witness,
-        )
 
 
 def _base_inputs(H: Graph, n: int, q) -> dict:
@@ -279,17 +267,6 @@ def bfs_order(F: Graph, root: int = 0) -> list:
     return order
 
 
-def bfs_normalize(F: Graph) -> Graph:
-    """Relabel a tree so vertex indices follow BFS order from vertex 0."""
-    order = bfs_order(F)
-    if len(order) != F.n:
-        raise PreconditionError("tree must be connected")
-    perm = [0] * F.n
-    for new, old in enumerate(order):
-        perm[old] = new
-    return F.relabel(perm)
-
-
 def tree_parents(F: Graph) -> list:
     """parent[i] for a BFS-ordered tree; parent[0] is None."""
     parents = [None] * F.n
@@ -299,17 +276,6 @@ def tree_parents(F: Graph) -> list:
             raise PreconditionError("tree is not in BFS order from vertex 0")
         parents[i] = smaller[0]
     return parents
-
-
-def tree_ancestors(F: Graph, v: int) -> tuple:
-    """Non-root ancestors of v in a BFS-ordered tree, nearest first."""
-    parents = tree_parents(F)
-    out = []
-    cur = parents[v]
-    while cur is not None and cur != 0:
-        out.append(cur)
-        cur = parents[cur]
-    return tuple(out)
 
 
 # -- fit decomposition ------------------------------------------------------------
@@ -467,10 +433,11 @@ def verify_fit_partition(H: Graph, F: Graph, eps, d, node_budget=None) -> Propos
     Fn, _, parents, f = _prepare_tree(F)
     thr = _check_fit_threshold(Fn, eps, d)
     classes: dict = {}
+    labeled = 0
     for copy in iter_labeled(H, Fn, node_budget=node_budget):
+        labeled += 1
         key = _fit_core(H, parents, f, list(copy), thr).class_key
         classes[key] = classes.get(key, 0) + 1
-    labeled = count_labeled(H, Fn, node_budget=node_budget)
     total = sum(classes.values())
     table = [
         {"d": list(key[0]), "backedges": key[1], "count": cnt}

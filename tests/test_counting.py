@@ -194,6 +194,16 @@ class TestResourceGuards:
         with pytest.raises(ResourceGuardError, match="copy list exceeds cap 1"):
             copies_as_edge_masks(complete_graph(14), path_graph(4), copy_cap=1, node_budget=1000)
 
+    def test_iter_labeled_refuses_on_the_frontier_estimate(self):
+        # P3 in K8: the walk visits 8 + 56 + 336 + 1,680 = 2,080 nodes, but
+        # the frontier estimate (8 * 7^3 = 2,744 homomorphisms) refuses first
+        host, pattern = complete_graph(8), path_graph(3)
+        with pytest.raises(ResourceGuardError, match="frontier estimate"):
+            count_labeled(host, pattern, node_budget=2100)
+        with pytest.raises(ResourceGuardError, match="frontier estimate"):
+            list(iter_labeled(host, pattern, node_budget=2100))
+        assert len(list(iter_labeled(host, pattern, node_budget=2744))) == 1680
+
     def test_edge_masks_match_embeddings(self):
         host, pattern = petersen_graph(), path_graph(3)
         index = {e: i for i, e in enumerate(host.edges)}

@@ -11,6 +11,7 @@ from functools import cmp_to_key
 import pytest
 
 from kklab import (
+    EdgeCapError,
     Graph,
     automorphism_count,
     certified_sparse,
@@ -29,6 +30,7 @@ from kklab import (
     value_cmp,
     violation_scan,
 )
+from kklab import expectation
 from kklab.exact import DEFAULT_DIGITS
 from kklab.expectation import (
     _build_report,
@@ -299,6 +301,30 @@ class TestPrunedTableOracle:
         for n in (H.n, H.n + 5):
             for target_den in (1, 2):
                 self.check(H, table, n, target_den)
+
+
+class TestPrunedWalk:
+    @pytest.mark.parametrize(
+        "H", [path_power_graph(7, 2), petersen_graph()], ids=to_graph6
+    )
+    def test_one_walk_per_call(self, H, monkeypatch):
+        walks = []
+
+        def counted(G):
+            walks.append(G)
+            return _gray_steps(G)
+
+        monkeypatch.setattr(expectation, "_gray_steps", counted)
+        for target_den in (1, 2):
+            walks.clear()
+            _pruned_classes(H, H.n + 3, target_den)
+            assert walks == [H]
+
+    def test_member_cap_refusal(self):
+        # P19 at n = 20: 423,187 of its 2^19 subsets pass the degree-symmetry
+        # cap, past the 400k refusal
+        with pytest.raises(EdgeCapError, match=r"candidate subsets \(423187\)"):
+            q_min(path_graph(19), 20)
 
 
 class TestNewlyReachableHost:

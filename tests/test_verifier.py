@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from kklab import (
     Graph,
     PreconditionError,
+    ResourceGuardError,
     bowtie_graph,
     complete_graph,
     cycle_graph,
@@ -125,6 +126,16 @@ class TestFit:
         assert report.verdict
         assert report.lhs == "10"
         assert len(report.witness["classes"]) == 1
+
+    def test_partition_refusal_set(self):
+        # the walk needs 2,080 nodes and the frontier estimate is 2,744: the
+        # call refuses below the estimate and passes at it
+        host, tree = complete_graph(8), path_graph(3)
+        for budget in (1, 2079, 2080, 2100, 2743):
+            with pytest.raises(ResourceGuardError):
+                verify_fit_partition(host, tree, 1, 3, node_budget=budget)
+        report = verify_fit_partition(host, tree, 1, 3, node_budget=2744)
+        assert report.verdict and report.lhs == report.rhs == "1680"
 
     def test_partition_without_copies(self):
         report = verify_fit_partition(path_graph(1), path_graph(3), eps=1, d=4)

@@ -653,15 +653,12 @@ def is_q_sparse(H: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> Sparse
     if n < H.n:
         raise PreconditionError(f"ambient n={n} is below the host's {H.n} vertices")
     _check_probability(q)
-    if H.edge_count == 0:
-        return SparseCheck(sparse=True, n=n, q=q)
-    # the crude count bound can certify arbitrarily large graphs cheaply
-    if safe_edge_bound(n, q, min(H.n, 2 * H.edge_count), H.edge_count) >= H.edge_count:
-        return SparseCheck(sparse=True, n=n, q=q)
-    if H.edge_count > edge_cap:
+    m = H.edge_count
+    # the crude count bound certifies hosts of any size, so it alone may
+    # spare a host above the cap
+    if m > edge_cap and safe_edge_bound(n, q, min(H.n, 2 * m), m) < m:
         raise EdgeCapError(
-            f"exact scan over 2^{H.edge_count} edge subsets exceeds the cap of "
-            f"{edge_cap} edges"
+            f"exact scan over 2^{m} edge subsets exceeds the cap of {edge_cap} edges"
         )
     verdict, worst, tup = violation_scan(H, n, q)
     if verdict:

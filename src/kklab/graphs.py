@@ -11,8 +11,12 @@ density via a parametric min-cut search cross-checked by subset
 enumeration, automorphism counts as products of orbit sizes along an
 individualization-refinement path (orbit-stabilizer counting), and a
 canonical labeling used for deduplication and deterministic tie-breaks.
-Both the count and the labeling start from the one color refinement,
-``refine_colors``.
+The count is one orbit-stabilizer search over the whole graph.  The
+labeling is a separate search over adjacency rows, because its minimum
+leaf is what fixes the pinned canonical forms.  Both start from the one
+color refinement, ``refine_colors``, and both read the one twin
+partition, ``_twin_classes``: the count stops refining at cells of twins,
+and the labeling tries one vertex per twin class at each position.
 """
 
 import math
@@ -96,13 +100,6 @@ class Graph:
         return (1 << self.n) - 1
 
     # -- derived graphs ------------------------------------------------------
-
-    def with_edge(self, u: int, v: int) -> "Graph":
-        return Graph(self.n, self.edges + ((min(u, v), max(u, v)),))
-
-    def without_edge(self, u: int, v: int) -> "Graph":
-        key = (min(u, v), max(u, v))
-        return Graph(self.n, tuple(e for e in self.edges if e != key))
 
     def induced(self, vertices) -> "Graph":
         """Induced subgraph relabeled to 0..k-1 in sorted vertex order."""
@@ -626,17 +623,24 @@ def _cells(colors: list) -> list:
     return [members[c] for c in sorted(members) if len(members[c]) > 1]
 
 
-def _twins(adj, cell: list) -> bool:
-    """Are the vertices of ``cell`` pairwise twins, so that every permutation
-    of the cell fixing all other vertices is an automorphism?"""
-    first = adj[cell[0]]
-    if all(adj[u] == first for u in cell):
-        return True
-    closed = first | 1 << cell[0]
-    return all(adj[u] | 1 << u == closed for u in cell)
+def _twin_classes(adj) -> list:
+    """The twin partition: each vertex labeled by the least vertex of its class.
+
+    Swapping u and v is an automorphism exactly when their open
+    neighbourhoods are equal (u, v non-adjacent) or their closed ones are
+    (u, v adjacent).  No vertex has twins of both kinds: an open twin of u
+    lies outside N[u], which every closed twin of u shares.  So one grouping
+    by each neighbourhood gives the classes, and every permutation of a
+    class that fixes all other vertices is an automorphism.
+    """
+    open_first, closed_first = {}, {}
+    return [
+        min(open_first.setdefault(m, v), closed_first.setdefault(m | 1 << v, v))
+        for v, m in enumerate(adj)
+    ]
 
 
-def _orbit_stabilizer_count(g: Graph) -> int:
+def automorphism_count(g: Graph) -> int:
     """|Aut(g)| as the product of orbit sizes along one individualization path.
 
     The path refines, individualizes the first vertex v_i of the first
@@ -644,8 +648,9 @@ def _orbit_stabilizer_count(g: Graph) -> int:
     preserving the i-th coloring, is the pointwise stabilizer of
     v_0..v_{i-1}, so |Aut(g)| is the product over i of the size of the
     orbit of v_i under Aut(g, P_i), times |Aut(g, P_d)| at the end of the
-    path.  The path ends once every non-singleton cell is a set of twins,
-    where Aut(g, P_d) is the product of the symmetric groups of the cells.
+    path.  The path ends once every non-singleton cell lies in one class of
+    ``_twin_classes``, where Aut(g, P_d) is the product of the symmetric
+    groups of the cells.
 
     Walking the path bottom-up, a twin cell is one orbit; otherwise a
     union-find over the automorphisms found so far settles most of the
@@ -655,17 +660,24 @@ def _orbit_stabilizer_count(g: Graph) -> int:
     path's cells, pruning any branch whose color shape leaves the path's.
     Refinement never reorders classes, so at a leaf of matching shape the
     color-matching map already sends v_i to w and preserves P_i: only the
-    edges are left to check.
+    edges are left to check.  The search runs on the whole graph, connected
+    or not, so it also finds the automorphisms that swap isomorphic
+    components.
     """
     n = g.n
     adj = g.adj
     if g.edge_count in (0, n * (n - 1) // 2):
         return math.factorial(n)
+    twin = _twin_classes(adj)
+
+    def twin_cell(cell):
+        return all(twin[u] == twin[cell[0]] for u in cell)
+
     path = [refine_colors(g)]
     fixed = []
     while True:
         cells = _cells(path[-1])
-        if all(_twins(adj, cell) for cell in cells):
+        if all(twin_cell(cell) for cell in cells):
             break
         fixed.append(cells[0][0])
         path.append(refine_colors(g, _individualize(path[-1], cells[0][0])))
@@ -711,7 +723,7 @@ def _orbit_stabilizer_count(g: Graph) -> int:
         v = fixed[i]
         top = path[i]
         cell = [w for w in range(n) if top[w] == top[v]]
-        if _twins(adj, cell):
+        if twin_cell(cell):
             join(zip(cell, cell[1:]))
         outside = []  # vertices known to miss v's orbit
         for w in cell[1:]:
@@ -728,50 +740,7 @@ def _orbit_stabilizer_count(g: Graph) -> int:
     return total
 
 
-def automorphism_count(g: Graph) -> int:
-    """|Aut(g)|, exactly, by orbit-stabilizer counting.
-
-    A connected graph is counted whole.  Otherwise the components are
-    grouped by vertex count and sorted degrees; only a group of two or
-    more components on more than four vertices is split further by
-    ``canonical_key`` (connected graphs on at most four vertices are fixed
-    by their degrees).  The full count is the product of the per-type
-    counts times the factorials of the type multiplicities.
-    """
-    comps = g.components()
-    if len(comps) == 1:
-        return _orbit_stabilizer_count(g)
-    groups = {}
-    for comp in comps:
-        shape = (len(comp), tuple(sorted(g.adj[v].bit_count() for v in comp)))
-        groups.setdefault(shape, []).append(comp)
-    total = 1
-    for (k, _), group in groups.items():
-        if len(group) > 1 and k > 4:
-            types = {}
-            for comp in group:
-                types.setdefault(canonical_key(g.induced(comp)), []).append(comp)
-            group_types = types.values()
-        else:
-            group_types = [group]
-        for same in group_types:
-            single = _orbit_stabilizer_count(g.induced(same[0]))
-            total *= single ** len(same) * math.factorial(len(same))
-    return total
-
-
 # -- canonical labeling -----------------------------------------------------------
-
-
-def _swap_classes(g: Graph) -> list:
-    """Union-find classes of vertices whose transposition is an automorphism."""
-    parent = list(range(g.n))
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            strip = ~((1 << u) | (1 << v))
-            if g.adj[u] & strip == g.adj[v] & strip:
-                parent[_find(parent, u)] = _find(parent, v)
-    return [_find(parent, v) for v in range(g.n)]
 
 
 def _canonical_perm(g: Graph) -> list:
@@ -784,7 +753,7 @@ def _canonical_perm(g: Graph) -> list:
     class_of_pos = []
     for c in sorted(set(colors)):
         class_of_pos.extend([c] * colors.count(c))
-    swap = _swap_classes(g)
+    twin = _twin_classes(g.adj)
 
     best_rows = None
     best_perm = None
@@ -800,13 +769,13 @@ def _canonical_perm(g: Graph) -> list:
             return
         want = class_of_pos[pos]
         candidates = []
-        seen_swap = set()
+        seen_twin = set()
         for v in range(n):
             if pos_of[v] >= 0 or colors[v] != want:
                 continue
-            if swap[v] in seen_swap:
+            if twin[v] in seen_twin:
                 continue  # a prior candidate maps to v by an automorphism
-            seen_swap.add(swap[v])
+            seen_twin.add(twin[v])
             row = 0
             for i, w in enumerate(placed):
                 row |= (g.adj[v] >> w & 1) << i

@@ -121,15 +121,6 @@ def _certified_sparse(g: Graph, n: int, q, edge_cap: int, memo: _VerdictMemo) ->
     return next(memo.violations(g), None) is None
 
 
-def _strip_isolates(g: Graph) -> Graph:
-    """g without its isolated vertices, in vertex order (K1 if g has no edges)."""
-    keep = [v for v in range(g.n) if g.adj[v]]
-    if not keep:
-        return Graph(1, [])
-    remap = {v: i for i, v in enumerate(keep)}
-    return Graph(len(keep), [(remap[a], remap[b]) for a, b in g.edges])
-
-
 # -- exhaustive sweep ---------------------------------------------------------------
 
 
@@ -301,7 +292,10 @@ def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooli
     records: dict = {}
 
     def record(graph: Graph, copies: int, moves: int) -> None:
-        shape = _strip_isolates(graph) if report_strippable else graph
+        shape = graph
+        if report_strippable:
+            # the edgeless host reports as K1
+            shape = graph.induced([v for v in range(graph.n) if graph.adj[v]] or [0])
         g6 = to_graph6(canonical_form(shape))
         prev = records.get(g6)
         if prev is None or copies > prev[0]:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import (
+    _match_plan,
     copies_as_edge_masks,
-    count_copies,
     iter_labeled,
     packing_number,
 )
@@ -250,34 +250,6 @@ def peel_min_degree(
     )
 
 
-# -- tree utilities -------------------------------------------------------------
-
-
-def bfs_order(F: Graph, root: int = 0) -> list:
-    """BFS visit order from ``root`` with ascending-label tie-break."""
-    seen = 1 << root
-    order = [root]
-    queue = [root]
-    while queue:
-        v = queue.pop(0)
-        for w in iter_bits(F.adj[v] & ~seen):
-            seen |= 1 << w
-            order.append(w)
-            queue.append(w)
-    return order
-
-
-def tree_parents(F: Graph) -> list:
-    """parent[i] for a BFS-ordered tree; parent[0] is None."""
-    parents = [None] * F.n
-    for i in range(1, F.n):
-        smaller = [w for w in F.neighbors(i) if w < i]
-        if len(smaller) != 1:
-            raise PreconditionError("tree is not in BFS order from vertex 0")
-        parents[i] = smaller[0]
-    return parents
-
-
 # -- fit decomposition ------------------------------------------------------------
 
 
@@ -287,16 +259,6 @@ class DegreeProfile:
     d: tuple
     big: tuple
     D: int
-
-    def is_legal(self, eps: Fraction, d_scale: Fraction) -> bool:
-        thr = eps * d_scale * d_scale
-        for i, val in enumerate(self.d):
-            if self.big[i]:
-                if Fraction(val * val) < thr:
-                    return False
-            elif val != self.f[i]:
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -315,18 +277,21 @@ class FitRecord:
 
 
 def _prepare_tree(F: Graph):
+    """F relabeled into BFS order from vertex 0 (``perm`` old->new, None when
+    F is in that order already), each position's parent and child count."""
     if not F.is_tree():
         raise PreconditionError("pattern must be a tree")
-    order = bfs_order(F)
-    if order == list(range(F.n)):
+    plan = _match_plan(F)
+    # a tree's only earlier neighbor in BFS order is its parent
+    parents = [earlier[0] if earlier else None for _, earlier in plan]
+    if all(v == i for i, (v, _) in enumerate(plan)):
         Fn = F
         perm = None
     else:
         perm = [0] * F.n
-        for new, old in enumerate(order):
+        for new, (old, _) in enumerate(plan):
             perm[old] = new
         Fn = F.relabel(perm)
-    parents = tree_parents(Fn)
     f = tuple(sum(1 for w in Fn.neighbors(i) if w > i) for i in range(Fn.n))
     return Fn, perm, parents, f
 
@@ -341,32 +306,14 @@ def _check_fit_threshold(F: Graph, eps: Fraction, d: Fraction):
     return thr
 
 
-def _fit_core(H, parents, f, copy, thr) -> FitRecord:
-    j1 = len(copy)
-    adj = H.adj
+def _fit_key(adj, parents, f, copy, thr) -> tuple:
+    """The fit class of one labeled copy: (d vector, back-edge mask)."""
     prev = 0
-    residual = []
-    big = []
     d_vec = []
-    b_vec = []
     backedge_mask = 0
-    extra = 0
-    rhat_edges = set()
-    for i in range(j1):
-        w = copy[i]
-        if i:
-            rhat_edges.add(
-                (min(w, copy[parents[i]]), max(w, copy[parents[i]]))
-            )
-        resid_mask = adj[w] & ~prev
-        r = resid_mask.bit_count()
-        residual.append(r)
-        is_big = Fraction(r * r) >= thr
-        big.append(is_big)
-        d_vec.append(r if is_big else f[i])
-        back = adj[w] & prev
-        bcount = back.bit_count() - (1 if i else 0)
-        b_vec.append(bcount)
+    for i, w in enumerate(copy):
+        r = (adj[w] & ~prev).bit_count()
+        d_vec.append(r if r * r >= thr else f[i])
         if i:
             pw = copy[parents[i]]
             base = i * (i - 1) // 2
@@ -374,29 +321,8 @@ def _fit_core(H, parents, f, copy, thr) -> FitRecord:
                 wk = copy[k]
                 if wk != pw and adj[w] >> wk & 1:
                     backedge_mask |= 1 << (base + k)
-        if is_big:
-            extra |= resid_mask
-            for x in iter_bits(resid_mask):
-                rhat_edges.add((min(w, x), max(w, x)))
         prev |= 1 << w
-    copy_mask = prev
-    profile = DegreeProfile(
-        f=tuple(f), d=tuple(d_vec), big=tuple(big), D=sum(
-            d_vec[i] for i in range(j1) if big[i]
-        )
-    )
-    rhat_vertices = tuple(copy) + tuple(
-        x for x in iter_bits(extra & ~copy_mask)
-    )
-    return FitRecord(
-        copy=tuple(copy),
-        residual=tuple(residual),
-        profile=profile,
-        b=tuple(b_vec),
-        backedge_mask=backedge_mask,
-        rhat_vertices=rhat_vertices,
-        rhat_edges=tuple(sorted(rhat_edges)),
-    )
+    return tuple(d_vec), backedge_mask
 
 
 def fit_decompose(H: Graph, F: Graph, copy, eps, d) -> FitRecord:
@@ -424,7 +350,39 @@ def fit_decompose(H: Graph, F: Graph, copy, eps, d) -> FitRecord:
     for a, b in Fn.edges:
         if not H.has_edge(copy[a], copy[b]):
             raise PreconditionError("copy is not an embedding of the tree")
-    return _fit_core(H, parents, f, copy, thr)
+    adj = H.adj
+    d_vec, backedge_mask = _fit_key(adj, parents, f, copy, thr)
+    prev = 0
+    residual = []
+    big = []
+    b_vec = []
+    extra = 0
+    rhat_edges = set()
+    for i, w in enumerate(copy):
+        if i:
+            pw = copy[parents[i]]
+            rhat_edges.add((min(w, pw), max(w, pw)))
+        resid_mask = adj[w] & ~prev
+        r = resid_mask.bit_count()
+        residual.append(r)
+        big.append(r * r >= thr)
+        back = adj[w] & prev
+        b_vec.append(back.bit_count() - (1 if i else 0))
+        if big[i]:
+            extra |= resid_mask
+            for x in iter_bits(resid_mask):
+                rhat_edges.add((min(w, x), max(w, x)))
+        prev |= 1 << w
+    D = sum(x for x, is_big in zip(d_vec, big) if is_big)
+    return FitRecord(
+        copy=tuple(copy),
+        residual=tuple(residual),
+        profile=DegreeProfile(f=f, d=d_vec, big=tuple(big), D=D),
+        b=tuple(b_vec),
+        backedge_mask=backedge_mask,
+        rhat_vertices=tuple(copy) + tuple(iter_bits(extra & ~prev)),
+        rhat_edges=tuple(sorted(rhat_edges)),
+    )
 
 
 def verify_fit_partition(H: Graph, F: Graph, eps, d, node_budget=None) -> PropositionReport:
@@ -436,7 +394,7 @@ def verify_fit_partition(H: Graph, F: Graph, eps, d, node_budget=None) -> Propos
     labeled = 0
     for copy in iter_labeled(H, Fn, node_budget=node_budget):
         labeled += 1
-        key = _fit_core(H, parents, f, list(copy), thr).class_key
+        key = _fit_key(H.adj, parents, f, copy, thr)
         classes[key] = classes.get(key, 0) + 1
     total = sum(classes.values())
     table = [
@@ -586,11 +544,9 @@ def verify_main_inequality(
     if F.edge_count < 1:
         raise PreconditionError("pattern must have at least one edge")
     _require_sparse(H, n, q)
-    copies = count_copies(H, F, node_budget=node_budget)
-    expectation = expected_copies(n, q, F)
-    rhs = value_mul(L**F.edge_count, expectation)
-    verdict = value_cmp(Fraction(copies), rhs) < 0
     req = required_L(H, F, n, q, node_budget=node_budget, skip_sparsity_check=True)
+    rhs = value_mul(L**F.edge_count, req.expectation)
+    verdict = value_cmp(Fraction(req.copies), rhs) < 0
     inputs = _base_inputs(H, n, q)
     inputs["pattern6"] = to_graph6(F)
     inputs["L"] = str(L)
@@ -598,7 +554,7 @@ def verify_main_inequality(
     return PropositionReport(
         prop_id="main-inequality",
         inputs=inputs,
-        lhs=str(copies),
+        lhs=str(req.copies),
         rhs=f"L^{F.edge_count} * E_qX_F ~ {value_float(rhs):.6g}",
         verdict=verdict,
         witness={"required_L": [lo, hi]},

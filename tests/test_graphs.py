@@ -1,6 +1,7 @@
 """Graph core: parsing, constructors, density, automorphisms, canonical forms."""
 
 import hashlib
+import math
 from fractions import Fraction
 from itertools import permutations
 
@@ -255,3 +256,47 @@ class TestCanonicalPins:
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "3d178cc4d9435005500783971c5a5f3b8534a410270eb270b0ea5100f0f991da"
         )
+
+
+def swap_is_automorphism(g, u, v):
+    p = list(range(g.n))
+    p[u], p[v] = v, u
+    return all(g.has_edge(p[a], p[b]) for a, b in g.edges)
+
+
+def assert_twin_classes_match_swaps(g):
+    twin = kklab.graphs._twin_classes(g.adj)
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            assert (twin[u] == twin[v]) == swap_is_automorphism(g, u, v), (to_graph6(g), u, v)
+
+
+class TestOneAutomorphismSearch:
+    @pytest.mark.parametrize("k", range(2, 7))
+    def test_twin_classes_are_the_automorphic_swaps_on_catalog(self, k):
+        for g in graphs_on(k):
+            assert_twin_classes_match_swaps(g)
+
+    @given(graphs)
+    def test_twin_classes_are_the_automorphic_swaps(self, g):
+        assert_twin_classes_match_swaps(g)
+
+    @pytest.mark.parametrize(
+        "parts,count",
+        [
+            ([complete_graph(2)] * 20, 2**20 * math.factorial(20)),
+            ([petersen_graph()] * 5, 120**5 * math.factorial(5)),
+            ([cycle_graph(8)] * 3 + [complete_graph(3)] * 2, 16**3 * 6 * 6**2 * 2),
+        ],
+    )
+    def test_many_copies_of_a_component(self, parts, count):
+        assert automorphism_count(disjoint_union(*parts)) == count
+
+    def test_disconnected_graph_needs_no_canonical_labeling(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("canonical labeling called")
+
+        monkeypatch.setattr(kklab.graphs, "canonical_key", refuse)
+        monkeypatch.setattr(kklab.graphs, "canonical_form", refuse)
+        c5 = cycle_graph(5)
+        assert automorphism_count(disjoint_union(c5, c5, PRISM, PRISM)) == (10**2 * 2) * (12**2 * 2)

@@ -1,11 +1,15 @@
 """Machine-checked propositions: structure bounds, packing, fit classes,
 legal sequences, path-length cutoff, peeling."""
 
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kklab.counting
 from kklab import (
     Graph,
     PreconditionError,
@@ -27,6 +31,7 @@ from kklab import (
     verify_packing,
     verify_structure,
 )
+from kklab.verifier import DegreeProfile
 
 
 class TestStructure:
@@ -214,3 +219,61 @@ class TestMainInequality:
             path_graph(2), complete_graph(3), 10, Fraction(1, 2), 1
         )
         assert report.verdict
+
+
+def counting_host():
+    """The seed-1 G(44, 300) host of the counting benchmark workload."""
+    rng = random.Random("counting/1")
+    pairs = [(a, b) for a in range(44) for b in range(a + 1, 44)]
+    return Graph(44, rng.sample(pairs, 300))
+
+
+class TestFitPins:
+    # values captured before the fit class was keyed without building records
+
+    def test_partition_report_on_a_gnm_host(self):
+        doc = verify_fit_partition(counting_host(), path_graph(2), 1, 3).to_json()
+        assert doc["lhs"] == doc["rhs"] == "8144"
+        assert len(doc["witness"]["classes"]) == 1789
+        text = json.dumps(doc, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "f21c09aa5d7541f7bec244573964ca3a580d6873330e63b2413ddd882fb9a21a"
+        )
+
+    def test_decompose_on_a_tree_not_in_bfs_order(self):
+        tree = Graph(5, [(0, 2), (2, 4), (1, 2), (3, 4)])  # BFS order 0, 2, 1, 4, 3
+        host = Graph(9, [
+            (a, b) for a in range(9) for b in range(a + 1, 9) if (a * b + a + b) % 3 != 1
+        ])
+        rec = fit_decompose(host, tree, (4, 1, 5, 7, 8), eps=1, d=4)
+        assert rec.copy == (4, 5, 1, 8, 7)
+        assert rec.residual == (5, 7, 3, 5, 1)
+        assert rec.profile == DegreeProfile(
+            f=(1, 2, 0, 1, 0), d=(5, 7, 0, 5, 0), big=(True, True, False, True, False), D=17
+        )
+        assert rec.b == (0, 0, 1, 2, 3)
+        assert rec.backedge_mask == 490
+        assert rec.rhat_vertices == (4, 5, 1, 8, 7, 0, 2, 3, 6)
+        assert rec.rhat_edges == (
+            (0, 5), (0, 8), (1, 4), (1, 5), (2, 4), (2, 5), (2, 8), (3, 5), (3, 8),
+            (4, 5), (4, 7), (4, 8), (5, 6), (5, 7), (5, 8), (6, 8), (7, 8),
+        )
+        first = fit_decompose(host, tree, (0, 1, 2, 5, 3), eps=1, d=4)
+        assert first.profile.d == (5, 7, 4, 1, 4) and first.profile.D == 20
+        assert first.backedge_mask == 456 and first.b == (0, 0, 0, 1, 3)
+
+
+class TestMainInequalityCountsOnce:
+    def test_one_labeled_count(self, monkeypatch):
+        calls = []
+        real = kklab.counting.count_labeled
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kklab.counting, "count_labeled", counted)
+        q = q_min(complete_graph(3), 10).threshold
+        report = verify_main_inequality(complete_graph(3), complete_graph(3), 10, q, 2)
+        assert report.verdict and report.lhs == "1"
+        assert len(calls) == 1

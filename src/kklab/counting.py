@@ -9,9 +9,12 @@ each object is seen exactly once, and must agree with the generic oracle.
 
 All counters take an optional node budget, one per call, spent by a
 single serial walk, so a refusal never depends on how the work is run.
-When the running node count exceeds it (or, for the generic embedding
-walk, the upfront frontier estimate does), counting refuses with
+When the running node count exceeds it, counting refuses with
 ``ResourceGuardError`` rather than returning a truncated value.
+``count_labeled`` and ``iter_labeled`` (so also ``count_copies``) refuse
+up front when the frontier estimate exceeds it, too; ``contains`` and
+``copies_as_edge_masks`` run the same embedding walk on the node budget
+alone.
 """
 
 from .graphs import Graph, automorphism_count, degeneracy_order
@@ -188,8 +191,9 @@ def count_labeled(host: Graph, pattern: Graph, node_budget=None) -> int:
 
 
 def iter_labeled(host: Graph, pattern: Graph, node_budget=None):
-    """Yield each labeled embedding as a tuple indexed by pattern vertex;
-    refuses on the same estimate and budget as ``count_labeled``."""
+    """Each labeled embedding as a tuple indexed by pattern vertex; refuses
+    on the same estimate and budget as ``count_labeled``.  The whole walk
+    finishes, holding every embedding, before the first one is yielded."""
     budget = _embedding_budget(host, pattern, node_budget)
     if budget is None:
         return

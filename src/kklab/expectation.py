@@ -29,7 +29,9 @@ a seeded lower bound, and classifies only those.  The verdict sink,
 (n, q); a subset can violate only if (n)_v/sym * q^e < 1, and both that
 test and each exact class verdict are cached.  The full edge set and the
 densest part (``_seed_masks``) seed the pruned path's bound and the cheap
-disproof of sparsity.
+disproof of sparsity.  ``_VerdictMemo`` is also the one q-sparsity
+certificate: the crude count bound, the cheap disproof, the edge-cap
+refusal and the subset walk, in that order.
 """
 
 import math
@@ -395,14 +397,18 @@ def _connected_classes(H: Graph, vertex_cap: int) -> dict:
 
     Used by heuristic mode only; the resulting threshold is a lower bound
     because disconnected subgraphs can dominate the maximum.
+
+    The growth reaches each connected vertex set exactly once: only its
+    least vertex can be its root, since lower vertices are banned there,
+    and at each step only the child that adds the set's least eligible
+    vertex can still reach it, since each child bans its earlier siblings.
+    A vertex set that induces more than 18 edges adds only its induced
+    subgraph, not its sparser spanning subgraphs, so on such sets the
+    flagged lower bound is looser still.
     """
     classes = {}
-    seen_sets = set()
 
     def grow(vset: int, frontier: int, banned: int):
-        if vset in seen_sets:
-            return
-        seen_sets.add(vset)
         inner = Graph(
             H.n, [e for e in H.edges if (1 << e[0]) & vset and (1 << e[1]) & vset]
         )
@@ -513,55 +519,83 @@ class SparseCheck:
     expectation: ExactValue | None = None
 
 
-def _power_table(q, m: int) -> list:
-    powers = [Fraction(1)] + [None] * m
-    for e in range(1, m + 1):
-        powers[e] = value_pow(q, e)
-    return powers
-
-
 def safe_edge_bound(n: int, q, v_cap: int, e_cap: int) -> int:
     """Largest m <= e_cap such that the crude count bound alone certifies
-    every graph on at most v_cap vertices with at most m edges q-sparse.
-
-    A subset with v vertices and e edges has expectation at least
-    C(n,v) * q^e, and a bucket (v,e) is realizable only when v <= 2e and
-    e <= C(v,2).  Scanning e upward, the first e with a failing realizable
-    bucket ends the guarantee.  At q = 1 every bucket passes, so graphs of
-    any size are certified without touching their subsets.
-    """
-    if e_cap < 1:
-        return e_cap
-    powers = _power_table(q, e_cap)
-    for e in range(1, e_cap + 1):
-        for v in range(2, min(2 * e, v_cap) + 1):
-            if e > math.comb(v, 2):
-                continue
-            crude = value_mul(Fraction(math.comb(n, v)), powers[e])
-            if value_cmp(crude, 1) < 0:
-                return e - 1
-    return e_cap
+    every graph on at most v_cap vertices with at most m edges q-sparse
+    (see ``_VerdictMemo.safe_edges``)."""
+    # min keeps a negative e_cap as given
+    return min(e_cap, _VerdictMemo(n, q, e_cap).safe_edges(v_cap))
 
 
 class _VerdictMemo:
-    """Verdict sink: exact q-sparsity verdicts at one (n, q), memoized.
+    """The q-sparsity certificate at one (n, q), with its verdicts memoized.
 
     A subset's expectation (n)_v/aut * q^e depends only on (v, e, aut), so
     the exact comparison with 1 happens once per class and is kept for
     every later subset, scan and host that reaches the class.  Since
     aut <= sym, a subset can violate only if (n)_v/sym * q^e < 1; that
     test is memoized per (v, e, sym) and settles most subsets before any
-    automorphism count.  The keys do not depend on the host, so one memo
-    may serve many hosts.  max_edges bounds e.
+    automorphism count.  The crude count bound is memoized per vertex cap.
+    The keys do not depend on the host, so one memo may serve many hosts.
+    max_edges bounds e.
     """
 
-    __slots__ = ("n", "powers", "bounds", "classes")
+    __slots__ = ("n", "powers", "bounds", "classes", "safe")
 
     def __init__(self, n: int, q, max_edges: int):
         self.n = n
-        self.powers = _power_table(q, max_edges)
+        self.powers = [Fraction(1)] + [value_pow(q, e) for e in range(1, max_edges + 1)]
         self.bounds: dict = {}
         self.classes: dict = {}
+        self.safe: dict = {}
+
+    def safe_edges(self, v_cap: int) -> int:
+        """Largest m <= max_edges such that the crude count bound alone
+        certifies every graph on at most v_cap vertices with at most m
+        edges q-sparse.
+
+        A subset with v vertices and e edges has expectation at least
+        C(n,v) * q^e, and a bucket (v,e) is realizable only when v <= 2e and
+        e <= C(v,2).  Scanning e upward, the first e with a failing
+        realizable bucket ends the guarantee.  At q = 1 every bucket passes,
+        so graphs of any size are certified without touching their subsets.
+        """
+        bound = self.safe.get(v_cap)
+        if bound is None:
+            bound = len(self.powers) - 1
+            for e in range(1, len(self.powers)):
+                if any(
+                    e <= math.comb(v, 2)
+                    and value_cmp(
+                        value_mul(Fraction(math.comb(self.n, v)), self.powers[e]), 1
+                    ) < 0
+                    for v in range(2, min(2 * e, v_cap) + 1)
+                ):
+                    bound = e - 1
+                    break
+            self.safe[v_cap] = bound
+        return bound
+
+    def crude_certifies(self, H: Graph) -> bool:
+        """Does the crude count bound alone certify H q-sparse?"""
+        m = H.edge_count
+        return self.safe_edges(min(H.n, 2 * m)) >= m
+
+    def certify(self, H: Graph, edge_cap: int) -> bool:
+        """The q-sparsity verdict on H, cheapest test first: the crude count
+        bound, the quick disproof on the seed masks above 15 edges, the
+        refusal past edge_cap, then the early-exit subset scan."""
+        m = H.edge_count
+        if self.crude_certifies(H):
+            return True
+        if m > 15 and any(self.violation(H, mask) for mask in _seed_masks(H)):
+            return False
+        if m > edge_cap:
+            raise EdgeCapError(
+                f"cannot certify {m} edges: exact scan capped at {edge_cap} and the "
+                "quick disproof found no violation"
+            )
+        return next(self.violations(H), None) is None
 
     def may_violate(self, v: int, e: int, sym: int) -> bool:
         key = (v, e, sym)
@@ -579,15 +613,13 @@ class _VerdictMemo:
     def violation(self, H: Graph, mask: int):
         """(expectation, edge tuple) when this edge subset of H has
         expectation below 1, else None."""
-        sub, vm = _subset_of_mask(H, mask)
-        v, e = vm.bit_count(), len(sub)
-        aut = _aut_of_subset(sub, vm, v)
-        key = (v, e, aut)
+        key, tup = _class_of_mask(H, mask)
         if key not in self.classes:
+            v, e, aut = key
             expectation = value_mul(Fraction(math.perm(self.n, v), aut), self.powers[e])
             self.classes[key] = expectation if value_cmp(expectation, 1) < 0 else None
         expectation = self.classes[key]
-        return None if expectation is None else (expectation, tuple(sub))
+        return None if expectation is None else (expectation, tup)
 
     def violations(self, H: Graph, required_edge: int | None = None):
         """Yield (expectation, edge tuple) for every violating edge subset of
@@ -600,14 +632,6 @@ class _VerdictMemo:
                 hit = self.violation(H, mask)
                 if hit is not None:
                     yield hit
-
-    def seed_violation(self, H: Graph):
-        """A violation among H's full edge set and its densest part, or None."""
-        for mask in _seed_masks(H):
-            hit = self.violation(H, mask)
-            if hit is not None:
-                return hit
-        return None
 
 
 def _violation_cmp(a: tuple, b: tuple) -> int:
@@ -632,12 +656,10 @@ def violation_scan(
     required_edge restricts the scan to subsets containing that edge index
     (sound after certifying the host without it).
     """
-    m = H.edge_count
-    if m == 0:
+    memo = _VerdictMemo(n, q, H.edge_count)
+    if memo.crude_certifies(H):
         return True, None, None
-    if safe_edge_bound(n, q, min(H.n, 2 * m), m) >= m:
-        return True, None, None
-    hits = _VerdictMemo(n, q, m).violations(H, required_edge)
+    hits = memo.violations(H, required_edge)
     if early_exit:
         hit = next(hits, None)
     else:
@@ -656,7 +678,7 @@ def is_q_sparse(H: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> Sparse
     m = H.edge_count
     # the crude count bound certifies hosts of any size, so it alone may
     # spare a host above the cap
-    if m > edge_cap and safe_edge_bound(n, q, min(H.n, 2 * m), m) < m:
+    if m > edge_cap and not _VerdictMemo(n, q, m).crude_certifies(H):
         raise EdgeCapError(
             f"exact scan over 2^{m} edge subsets exceeds the cap of {edge_cap} edges"
         )

@@ -24,12 +24,7 @@ from .exact import (
     value_mul,
     value_to_json,
 )
-from .expectation import (
-    _VerdictMemo,
-    expected_copies,
-    required_L,
-    safe_edge_bound,
-)
+from .expectation import _VerdictMemo, expected_copies, required_L
 from .graphs import Graph, canonical_form, parse_graph6, to_graph6
 from .montecarlo import _repair_edge, derive_rng
 from .util import (
@@ -37,7 +32,7 @@ from .util import (
     DEFAULT_EDGE_CAP,
     DEFAULT_TOP_K,
     SWEEP_VERTEX_CAP,
-    EdgeCapError,
+    EdgeCapError,  # re-exported from its old home
     PreconditionError,
 )
 
@@ -100,25 +95,7 @@ def certified_sparse(g: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> b
     early-exit subset scan.  Graphs past the scan cap whose quick disproof
     finds nothing are refused rather than guessed at.
     """
-    return _certified_sparse(g, n, q, edge_cap, _VerdictMemo(n, q, g.edge_count))
-
-
-def _certified_sparse(g: Graph, n: int, q, edge_cap: int, memo: _VerdictMemo) -> bool:
-    """certified_sparse with the verdicts kept in memo, which must be at
-    (n, q) and cover g's edge count; a sweep shares one over its hosts."""
-    m = g.edge_count
-    if m == 0:
-        return True
-    if safe_edge_bound(n, q, min(g.n, 2 * m), m) >= m:
-        return True
-    if m > 15 and memo.seed_violation(g) is not None:
-        return False
-    if m > edge_cap:
-        raise EdgeCapError(
-            f"cannot certify {m} edges: exact scan capped at {edge_cap} and the "
-            "quick disproof found no violation"
-        )
-    return next(memo.violations(g), None) is None
+    return _VerdictMemo(n, q, g.edge_count).certify(g, edge_cap)
 
 
 # -- exhaustive sweep ---------------------------------------------------------------
@@ -174,7 +151,7 @@ def exhaustive_sweep(
     memo = _VerdictMemo(n, q, math.comb(v_cap, 2))
 
     def examine(g: Graph):
-        if not _certified_sparse(g, n, q, edge_cap, memo):
+        if not memo.certify(g, edge_cap):
             return None
         return (counter(g), to_graph6(g), g)
 
@@ -246,7 +223,7 @@ class SearchResult:
 
 
 def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooling,
-               edge_cap, safe_edges, e_float, report_strippable):
+               edge_cap, memo, e_float, report_strippable):
     rng = derive_rng(seed, "search", chain_idx)
     pairs = [(i, j) for i in range(host_cap) for j in range(i + 1, host_cap)]
     pair_bit = {pair: 1 << idx for idx, pair in enumerate(pairs)}
@@ -269,13 +246,12 @@ def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooli
     # addition outcomes are deterministic in the candidate, so memoize:
     # mask of H+uv -> frozenset of repaired edges, or None when rejected
     add_cache: dict = {}
-    memo = _VerdictMemo(n, q, math.comb(host_cap, 2))
 
     def settle_addition(edges: set, toggled: tuple):
         """(edges, None) on success, else (None, rejection reason)."""
         cand = set(edges)
         while True:
-            if len(cand) <= safe_edges:
+            if len(cand) <= memo.safe_edges(host_cap):
                 return frozenset(cand), None
             if len(cand) > edge_cap:
                 return None, "cap"
@@ -442,13 +418,14 @@ def extremal_search(
     expectation = expected_copies(n, q, F)
     e_float = value_float(expectation)
     counter = _make_counter(F)
-    safe_edges = safe_edge_bound(n, q, host_cap, math.comb(host_cap, 2))
+    # verdicts at (n, q) do not depend on the chain, so the chains share one memo
+    memo = _VerdictMemo(n, q, math.comb(host_cap, 2))
     report_strippable = all(F.adj[v] for v in range(F.n))
 
     base, extra = divmod(budget, chains)
     outcomes = [
         _run_chain(n, q, F, counter, base + (1 if idx < extra else 0), seed, idx, host_cap,
-                   top_k, cooling, edge_cap, safe_edges, e_float, report_strippable)
+                   top_k, cooling, edge_cap, memo, e_float, report_strippable)
         for idx in range(chains)
     ]
 
@@ -489,7 +466,7 @@ def extremal_search(
         "top_k": top_k,
         "cooling": cooling,
         "edge_cap": edge_cap,
-        "safe_edge_bound": safe_edges,
+        "safe_edge_bound": memo.safe_edges(host_cap),
         "expectation": value_to_json(expectation),
         "chain_stats": [meta for _, meta in outcomes],
     }

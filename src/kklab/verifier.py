@@ -271,10 +271,6 @@ class FitRecord:
     rhat_vertices: tuple
     rhat_edges: tuple
 
-    @property
-    def class_key(self) -> tuple:
-        return (self.profile.d, self.backedge_mask)
-
 
 def _prepare_tree(F: Graph):
     """F relabeled into BFS order from vertex 0 (``perm`` old->new, None when

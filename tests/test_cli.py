@@ -9,6 +9,7 @@ import os
 import pathlib
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -98,6 +99,73 @@ class TestReports:
     def test_csv_unavailable_elsewhere(self, capsys):
         code, _, err = run(capsys, "aut", "--graph", "K3", "--format", "csv")
         assert code == 1 and "csv" in err
+
+
+def roundtrip(doc: dict) -> dict:
+    return json.loads(json.dumps(doc))
+
+
+class TestHandlerRuns:
+    """Each report equals the library call that its handler wraps."""
+
+    def test_gamma(self, capsys):
+        doc = run_json(capsys, "gamma", "--graph", "petersen", "--length", "3")
+        value, pair = kklab.max_xy_paths(kklab.petersen_graph(), 3)
+        assert doc == {"schema": "kklab/1", "gamma": str(value), "pair": list(pair)}
+
+    def test_count_xy_paths(self, capsys):
+        doc = run_json(
+            capsys, "count", "--graph", "K5", "--family", "xy-path",
+            "--param", "3", "--x", "0", "--y", "4",
+        )
+        assert doc["count"] == str(kklab.count_xy_paths(kklab.complete_graph(5), 0, 4, 3))
+
+    def test_verify_fit(self, capsys):
+        doc = run_json(
+            capsys, "verify", "fit", "--graph", "C5", "--pattern", "P2",
+            "--eps", "1", "--d", "3",
+        )
+        report = kklab.verify_fit_partition(kklab.cycle_graph(5), kklab.path_graph(2), 1, 3)
+        assert doc["reports"] == [roundtrip(report.to_json())]
+        assert doc["all_pass"] is report.verdict
+
+    def test_verify_legal(self, capsys):
+        doc = run_json(
+            capsys, "verify", "legal", "--f", "1,1,0", "--eps", "1", "--d", "4",
+            "--D", "9", "--d-cap", "9",
+        )
+        result = kklab.count_legal_sequences((1, 1, 0), 1, 4, 9, 9)
+        assert doc == {
+            "schema": "kklab/1",
+            "count": str(result.count),
+            "big_threshold": result.big_threshold,
+            "bound": str(result.bound),
+            "bound_applicable": result.bound_applicable,
+            "bound_holds": result.bound_holds,
+        }
+
+    def test_verify_main(self, capsys):
+        doc = run_json(
+            capsys, "verify", "main", "--graph", "C5", "--pattern", "P2",
+            "--n", "10", "--q", "1/4", "--L", "3",
+        )
+        report = kklab.verify_main_inequality(
+            kklab.cycle_graph(5), kklab.path_graph(2), 10, Fraction(1, 4), 3
+        )
+        assert doc["reports"] == [roundtrip(report.to_json())]
+        assert doc["all_pass"] is report.verdict
+
+    def test_ellhat(self, capsys):
+        doc = run_json(capsys, "ellhat", "--n", "1000", "--q", "1/10", "--delta", "1/3")
+        result = kklab.ell_hat(1000, Fraction(1, 10), Fraction(1, 3))
+        assert doc == {
+            "schema": "kklab/1",
+            "ell_hat": str(result.value),
+            "n": result.n,
+            "delta": "1/3",
+            "at_value_ok": result.at_value_ok,
+            "above_value_fails": result.above_value_fails,
+        }
 
 
 class TestExitCodes:

@@ -26,6 +26,8 @@ from kklab import (
     safe_edge_bound,
     star_graph,
     value_cmp,
+    value_mul,
+    value_pow,
     violation_scan,
 )
 
@@ -192,6 +194,29 @@ class TestSafeEdgeBound:
         g = complete_graph(3)
         ok, _, _ = violation_scan(g, 50, Fraction(1, 2))
         assert ok
+
+    def test_matches_the_bucket_scan(self):
+        def bucket_scan(n, q, v_cap, e_cap):
+            # each realizable (v, e) bucket in turn, powers built per call
+            if e_cap < 1:
+                return e_cap
+            powers = [Fraction(1)] + [value_pow(q, e) for e in range(1, e_cap + 1)]
+            for e in range(1, e_cap + 1):
+                for v in range(2, min(2 * e, v_cap) + 1):
+                    if e > math.comb(v, 2):
+                        continue
+                    crude = value_mul(Fraction(math.comb(n, v)), powers[e])
+                    if value_cmp(crude, 1) < 0:
+                        return e - 1
+            return e_cap
+
+        root = q_min(complete_graph(3), 10).threshold
+        for n in (3, 10, 20):
+            for q in (Fraction(1, 10), Fraction(2, 5), Fraction(1), root):
+                for v_cap in range(1, 9):
+                    for e_cap in range(22):
+                        want = bucket_scan(n, q, v_cap, e_cap)
+                        assert safe_edge_bound(n, q, v_cap, e_cap) == want, (n, q, v_cap, e_cap)
 
 
 class TestSmallHelpers:

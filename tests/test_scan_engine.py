@@ -212,6 +212,15 @@ class TestHeuristicMode:
         assert value_cmp(report.threshold, want.threshold) == 0
         assert report.witness_edges == want.witness_edges
 
+    def test_dense_vertex_set_adds_only_its_induced_subgraph(self):
+        # the 7 vertices induce 19 > 18 edges, so of their connected spanning
+        # subgraphs (C7 among them) only the host itself is classified
+        H = Graph(7, complete_graph(7).edges[:19])
+        report = q_min(H, 9, mode="heuristic", heuristic_vertex_cap=7)
+        assert report.lower_bound_only
+        rows = [row for row in table_rows(report) if row[1] == 7]
+        assert rows == [(to_graph6(H), 7, 19, automorphism_count(H), 1)]
+
 
 class TestWalkerSym:
     @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])

@@ -1,9 +1,11 @@
 """Extremal machinery: exact sweep oracle and the annealing search."""
 
+import math
 from fractions import Fraction
 
 import pytest
 
+from kklab import expectation
 from kklab import (
     PreconditionError,
     certified_sparse,
@@ -41,6 +43,27 @@ class TestCertifiedSparse:
         n = 10
         for g in graphs_on(4):
             assert certified_sparse(g, n, q) == is_q_sparse(g, n, q).sparse
+
+    def test_matches_reference_check_at_the_triangle_root(self):
+        n = 10
+        q = q_min(complete_graph(3), n).threshold
+        for v in range(2, 7):
+            for g in graphs_on(v):
+                assert certified_sparse(g, n, q) == is_q_sparse(g, n, q).sparse, g.edges
+
+    def test_sweep_builds_the_powers_of_q_once(self, monkeypatch):
+        # one memo's q^1..q^15 for the whole sweep, plus the winner's expectation
+        q = q_min(complete_graph(3), 10).threshold
+        calls = []
+        real = expectation.value_pow
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(expectation, "value_pow", counted)
+        exhaustive_sweep(10, q, complete_graph(3), v_cap=6)
+        assert len(calls) <= math.comb(6, 2) + 1
 
 
 class TestSweep:

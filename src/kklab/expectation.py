@@ -19,19 +19,35 @@ Every scan is one walker feeding one of two sinks.  The walker,
 ``_gray_steps``, visits the nonempty edge subsets in Gray-code order and
 keeps (v, e, sym) up to date in O(1) per step, where sym = prod_d m_d! over
 the spanned vertices' degree classes (m_d vertices of degree d).
-Automorphisms preserve degree, so aut <= sym <= v!: a subset whose
-expectation or threshold is settled by sym alone needs no automorphism
-count.  The class sink, ``scan_subgraph_classes``, counts every subset
-into its (v, e, aut) class (the full table).  On larger hosts the pruned
-path walks once, keeps the subsets whose (v, e, sym) cap can still reach
-a seeded lower bound, and classifies only those.  The verdict sink,
-``_VerdictMemo``, yields the subsets whose expectation is below 1 at one
-(n, q); a subset can violate only if (n)_v/sym * q^e < 1, and both that
-test and each exact class verdict are cached.  The full edge set and the
-densest part (``_seed_masks``) seed the pruned path's bound and the cheap
-disproof of sparsity.  ``_VerdictMemo`` is also the one q-sparsity
-certificate: the crude count bound, the cheap disproof, the edge-cap
-refusal and the subset walk, in that order.
+
+A subset's expectation and threshold grow with aut, so any cap on aut
+settles a subset whose capped value is already on the safe side.  The
+scans use three tiers, cheapest first:
+
+1. sym, free from the walker.  Automorphisms preserve degree, so
+   aut <= sym <= v!.
+2. sig = prod_s m_s!, over the classes of vertices with one signature
+   s = (degree, sorted neighbour degrees), built by ``_signature_key``
+   only for the subsets that sym does not settle.  Automorphisms preserve
+   signatures too (one round of colour refinement), and signature classes
+   split degree classes, so aut <= sig <= sym.
+3. aut, an automorphism count, only for the subsets that neither cap
+   settles.  Each scan memoizes it in a dict of its own: one per call of
+   a class scan (full table, pruned or heuristic), and one per
+   ``_VerdictMemo``.
+
+The class sink, ``scan_subgraph_classes``, counts every subset into its
+(v, e, aut) class (the full table).  On larger hosts the pruned path walks
+once, keeps the subsets whose (v, e, sym) cap can still reach a seeded
+lower bound, drops those whose (v, e, sig) cap cannot, and classifies only
+the rest.  The verdict sink, ``_VerdictMemo``, yields the subsets whose
+expectation is below 1 at one (n, q); a subset can violate only if
+(n)_v/cap * q^e < 1 for both caps, and both cap tests and each exact class
+verdict are cached.  The full edge set and the densest part
+(``_seed_masks``) seed the pruned path's bound and the cheap disproof of
+sparsity.  ``_VerdictMemo`` is also the one q-sparsity certificate: the
+crude count bound, the cheap disproof, the edge-cap refusal and the subset
+walk, in that order.
 """
 
 import math
@@ -84,10 +100,6 @@ def expected_copies(n: int, p, J: Graph) -> ExactValue:
 
 # -- subgraph class scan -----------------------------------------------------------
 
-_AUT_MEMO: dict = {}
-_AUT_MEMO_CAP = 500_000
-
-
 def _normalize_subset(sub_edges, vmask: int):
     """Relabel spanned vertices to 0..v-1; edge order is preserved."""
     relabel = {}
@@ -99,19 +111,6 @@ def _normalize_subset(sub_edges, vmask: int):
         nxt += 1
         m ^= low
     return tuple((relabel[a], relabel[b]) for a, b in sub_edges)
-
-
-def _aut_of_subset(sub_edges, vmask: int, v: int) -> int:
-    """Automorphism count of the subset's spanned graph, with a global memo."""
-    norm = _normalize_subset(sub_edges, vmask)
-    key = (v, norm)
-    got = _AUT_MEMO.get(key)
-    if got is None:
-        if len(_AUT_MEMO) > _AUT_MEMO_CAP:
-            _AUT_MEMO.clear()
-        got = automorphism_count(Graph(v, list(norm)))
-        _AUT_MEMO[key] = got
-    return got
 
 
 def _subset_graph(tup) -> Graph:
@@ -187,11 +186,45 @@ def _subset_of_mask(H: Graph, mask: int):
     return sub, vm
 
 
-def _class_of_mask(H: Graph, mask: int):
-    """((v, e, aut), edge tuple) of one edge subset of H."""
+def _signature_key(H: Graph, mask: int) -> tuple:
+    """(v, e, sig) of one edge subset of H, where sig = prod_s m_s! and m_s
+    counts the spanned vertices with signature s = (degree, sorted
+    neighbour degrees).
+
+    Automorphisms preserve signatures (one round of colour refinement), so
+    aut <= sig, and signature classes split degree classes, so sig <= sym.
+    A signature is kept as the sum of 2^(w*d) over the neighbours' degrees
+    d: with w = H.n.bit_length(), each degree occurs fewer than 2^w times,
+    so the sum encodes the multiset exactly (and with it the degree).
+    """
+    sub, vm = _subset_of_mask(H, mask)
+    deg = [0] * H.n
+    for a, b in sub:
+        deg[a] += 1
+        deg[b] += 1
+    w = H.n.bit_length()
+    sums = [0] * H.n
+    for a, b in sub:
+        sums[a] += 1 << w * deg[b]
+        sums[b] += 1 << w * deg[a]
+    sizes: dict = {}
+    sig = 1
+    for s in sums:
+        if s:
+            size = sizes[s] = sizes.get(s, 0) + 1
+            sig *= size
+    return vm.bit_count(), len(sub), sig
+
+
+def _class_of_mask(H: Graph, mask: int, auts: dict):
+    """((v, e, aut), edge tuple) of one edge subset of H; auts memoizes the
+    automorphism counts under the relabeled edge tuple."""
     sub, vm = _subset_of_mask(H, mask)
     v = vm.bit_count()
-    aut = _aut_of_subset(sub, vm, v)
+    norm = _normalize_subset(sub, vm)
+    aut = auts.get((v, norm))
+    if aut is None:
+        aut = auts[v, norm] = automorphism_count(Graph(v, list(norm)))
     return (v, len(sub), aut), tuple(sub)
 
 
@@ -210,8 +243,9 @@ def scan_subgraph_classes(H: Graph) -> dict:
     """Class sink over all nonempty edge subsets of H:
     (v, e, aut) -> [subset count, lex-min edge tuple]."""
     classes: dict = {}
+    auts: dict = {}
     for mask, _, _, _ in _gray_steps(H):
-        _add_class(classes, *_class_of_mask(H, mask))
+        _add_class(classes, *_class_of_mask(H, mask, auts))
     return classes
 
 
@@ -240,35 +274,49 @@ def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
     hosts too large for the full table.
 
     The starting bound t_start is the best threshold among the full edge
-    set, a single edge and the densest part.  Since aut <= sym, a subset's
-    class threshold (aut/(t*(n)_v))^(1/e) is at most its cap
-    (sym/(t*(n)_v))^(1/e).  One walk tests each subset's cap against
-    t_start, memoized per (v, e, sym), and keeps the masks that pass
-    without any automorphism work; past the member cap it only counts
-    them, for the refusal.  Every member of a class at or above t_start
-    is kept, so classifying the kept masks gives exactly those classes,
-    each with the subset count and lex-min edge tuple of the full table,
-    and their maximum is the exact threshold.
+    set, a single edge and the densest part.  A subset's class threshold
+    (aut/(t*(n)_v))^(1/e) grows with aut, so each cap on aut gives a cap
+    on the threshold, and a subset whose cap falls below t_start cannot
+    reach it.  The caps come in three tiers, cheapest first:
+
+    - sym, which the walk keeps for free: the walk keeps the masks whose
+      (v, e, sym) cap reaches t_start, and past the member cap it only
+      counts them, for the refusal;
+    - sig (``_signature_key``), built only for the kept masks: a kept
+      mask whose (v, e, sig) cap misses t_start is dropped;
+    - aut, counted only for the masks left, which are then classified.
+
+    Both cap tests share one memo, since a key (v, e, cap) gives the same
+    verdict whichever cap it holds.  Every member of a class at or above
+    t_start passes both caps, so classifying the survivors gives exactly
+    those classes, each with the subset count and lex-min edge tuple of
+    the full table, and their maximum is the exact threshold.
     """
+    auts: dict = {}
     t_start = max(
         (
-            _class_threshold(n, target_den, *_class_of_mask(H, mask)[0])
+            _class_threshold(n, target_den, *_class_of_mask(H, mask, auts)[0])
             for mask in (*_seed_masks(H), 1)
         ),
         key=cmp_to_key(value_cmp),
     )
+    caps: dict = {}
 
     def reaches_start(key) -> bool:
-        return value_cmp(_class_threshold(n, target_den, *key), t_start) >= 0
+        hit = caps.get(key)
+        if hit is None:
+            hit = caps[key] = (
+                value_cmp(_class_threshold(n, target_den, *key), t_start) >= 0
+            )
+        return hit
 
-    caps: dict = {}
     kept = []
     members = 0
     for mask, v, e, sym in _gray_steps(H):
         key = (v, e, sym)
-        survives = caps.get(key)
+        survives = caps.get(key)  # inline hit: this loop runs 2^m times
         if survives is None:
-            survives = caps[key] = reaches_start(key)
+            survives = reaches_start(key)
         if survives:
             members += 1
             if members <= _PRUNED_MEMBER_CAP:
@@ -280,7 +328,8 @@ def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
         )
     classes: dict = {}
     for mask in kept:
-        _add_class(classes, *_class_of_mask(H, mask))
+        if reaches_start(_signature_key(H, mask)):
+            _add_class(classes, *_class_of_mask(H, mask, auts))
     return {key: row for key, row in classes.items() if reaches_start(key)}
 
 
@@ -407,13 +456,16 @@ def _connected_classes(H: Graph, vertex_cap: int) -> dict:
     flagged lower bound is looser still.
     """
     classes = {}
+    auts: dict = {}
 
     def grow(vset: int, frontier: int, banned: int):
         inner = Graph(
             H.n, [e for e in H.edges if (1 << e[0]) & vset and (1 << e[1]) & vset]
         )
         if inner.edge_count > 18:
-            _add_class(classes, *_class_of_mask(inner, (1 << inner.edge_count) - 1))
+            _add_class(
+                classes, *_class_of_mask(inner, (1 << inner.edge_count) - 1, auts)
+            )
         else:
             # the subsets of inner edges that span vset and are connected
             k = vset.bit_count()
@@ -421,7 +473,7 @@ def _connected_classes(H: Graph, vertex_cap: int) -> dict:
                 if v != k:
                     continue
                 if _spanning_connected(_subset_of_mask(inner, mask)[0], vset):
-                    _add_class(classes, *_class_of_mask(inner, mask))
+                    _add_class(classes, *_class_of_mask(inner, mask, auts))
         if vset.bit_count() >= vertex_cap:
             return
         ext = frontier & ~vset & ~banned
@@ -532,21 +584,29 @@ class _VerdictMemo:
 
     A subset's expectation (n)_v/aut * q^e depends only on (v, e, aut), so
     the exact comparison with 1 happens once per class and is kept for
-    every later subset, scan and host that reaches the class.  Since
-    aut <= sym, a subset can violate only if (n)_v/sym * q^e < 1; that
-    test is memoized per (v, e, sym) and settles most subsets before any
-    automorphism count.  The crude count bound is memoized per vertex cap.
-    The keys do not depend on the host, so one memo may serve many hosts.
-    max_edges bounds e.
+    every later subset, scan and host that reaches the class.  Any cap on
+    aut gives a test that may only clear a subset: it can violate only if
+    (n)_v/cap * q^e < 1.  The walk tries three tiers, cheapest first:
+
+    - sym, which the walker keeps for free;
+    - sig (``_signature_key``), built only for the subsets that sym does
+      not clear;
+    - aut, counted only for the subsets that neither cap clears, and
+      memoized under the relabeled edge tuple in ``auts``.
+
+    Both cap tests are memoized per (v, e, cap) in ``bounds``.  The crude
+    count bound is memoized per vertex cap.  The keys do not depend on the
+    host, so one memo may serve many hosts.  max_edges bounds e.
     """
 
-    __slots__ = ("n", "powers", "bounds", "classes", "safe")
+    __slots__ = ("n", "powers", "bounds", "classes", "auts", "safe")
 
     def __init__(self, n: int, q, max_edges: int):
         self.n = n
         self.powers = [Fraction(1)] + [value_pow(q, e) for e in range(1, max_edges + 1)]
         self.bounds: dict = {}
         self.classes: dict = {}
+        self.auts: dict = {}
         self.safe: dict = {}
 
     def safe_edges(self, v_cap: int) -> int:
@@ -597,13 +657,14 @@ class _VerdictMemo:
             )
         return next(self.violations(H), None) is None
 
-    def may_violate(self, v: int, e: int, sym: int) -> bool:
-        key = (v, e, sym)
+    def may_violate(self, v: int, e: int, cap: int) -> bool:
+        """Is (n)_v/cap * q^e < 1, for cap any upper bound on aut?"""
+        key = (v, e, cap)
         hit = self.bounds.get(key)
         if hit is None:
             hit = (
                 value_cmp(
-                    value_mul(Fraction(math.perm(self.n, v), sym), self.powers[e]), 1
+                    value_mul(Fraction(math.perm(self.n, v), cap), self.powers[e]), 1
                 )
                 < 0
             )
@@ -613,7 +674,7 @@ class _VerdictMemo:
     def violation(self, H: Graph, mask: int):
         """(expectation, edge tuple) when this edge subset of H has
         expectation below 1, else None."""
-        key, tup = _class_of_mask(H, mask)
+        key, tup = _class_of_mask(H, mask, self.auts)
         if key not in self.classes:
             v, e, aut = key
             expectation = value_mul(Fraction(math.perm(self.n, v), aut), self.powers[e])
@@ -627,8 +688,13 @@ class _VerdictMemo:
         it is given."""
         req_bit = 0 if required_edge is None else 1 << required_edge
         for mask, v, e, sym in _gray_steps(H):
-            # the walker's (v, e, sym) settles most subsets before any extraction
-            if mask & req_bit == req_bit and self.may_violate(v, e, sym):
+            # the walker's (v, e, sym) settles most subsets before any
+            # extraction, and the signature cap most of the rest
+            if (
+                mask & req_bit == req_bit
+                and self.may_violate(v, e, sym)
+                and self.may_violate(*_signature_key(H, mask))
+            ):
                 hit = self.violation(H, mask)
                 if hit is not None:
                     yield hit

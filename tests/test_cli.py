@@ -275,6 +275,35 @@ class TestDeterminism:
         assert first[0] == 0 and first == second
 
 
+# sha256 of the stdout of seeded extremal runs; the aut caps and memos
+# may change how fast these run, never what they print
+SEEDED_OUTPUTS = {
+    "search-K3": (
+        ("search", "--pattern", "K3", "--n", "10", "--q", "root:120:3",
+         "--host-cap", "8", "--budget", "400", "--seed", "3"),
+        "eb6efcdcd8b4978ca7570341b1434932b1a2b10b5ddedfa0c2e1429d77d17445",
+    ),
+    "search-P3": (
+        ("search", "--pattern", "P3", "--n", "10", "--q", "root:120:3",
+         "--host-cap", "8", "--budget", "400", "--seed", "3"),
+        "084f6d13e83db6c8ec185829c3b36878852a11868a21e3da539a584268cc2871",
+    ),
+    "sweep-K3": (
+        ("sweep", "--pattern", "K3", "--n", "10", "--q", "root:120:3", "--v-cap", "7"),
+        "19df1ebce00571e0c495d42ba4d017df1cf34d85c431c406065e13d0628e915c",
+    ),
+}
+
+
+class TestSeededOutputPins:
+    @pytest.mark.parametrize("name", sorted(SEEDED_OUTPUTS))
+    def test_stdout_digest(self, capsys, name):
+        argv, want = SEEDED_OUTPUTS[name]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 class TestRefusals:
     @pytest.mark.parametrize(
         "argv",

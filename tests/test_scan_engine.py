@@ -1,6 +1,7 @@
 """Edge-subset scans against brute force: class table, pruned path,
 violation scan, certified_sparse on big hosts, heuristic mode, the
-walker's degree-symmetry bound and the pruned table against the full one."""
+walker's degree-symmetry bound, the signature bound, the pruned table
+against the full one and how many subsets the scans classify."""
 
 import math
 import random
@@ -9,6 +10,7 @@ from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
+from hypothesis import given, strategies as st
 
 from kklab import (
     EdgeCapError,
@@ -19,6 +21,7 @@ from kklab import (
     cycle_graph,
     disjoint_union,
     expected_copies,
+    extremal_search,
     graphs_on,
     is_q_sparse,
     make_value,
@@ -37,6 +40,7 @@ from kklab.expectation import (
     _gray_steps,
     _pruned_classes,
     _seed_masks,
+    _signature_key,
     scan_subgraph_classes,
 )
 
@@ -239,6 +243,83 @@ class TestWalkerSym:
                 assert auts[key] <= sym
 
 
+def degree_cap(J: Graph) -> int:
+    """prod_d m_d! over the degree classes of J's vertices."""
+    return math.prod(math.factorial(c) for c in Counter(J.degrees()).values())
+
+
+def signature_cap(J: Graph) -> int:
+    """prod_s m_s! over the classes of J's vertices with one signature
+    s = (degree, sorted neighbour degrees), computed directly from J."""
+    degrees = J.degrees()
+    signatures = Counter(
+        (degrees[x], tuple(sorted(degrees[y] for y in J.neighbors(x))))
+        for x in range(J.n)
+    )
+    return math.prod(math.factorial(c) for c in signatures.values())
+
+
+def assert_caps_bound_aut(H: Graph, mask: int, seen: dict) -> None:
+    """The subset's _signature_key is its (v, e, sig), and
+    sym >= sig >= aut; seen keeps (sym, sig, aut) per stripped subgraph."""
+    sub = tuple(H.edges[i] for i in range(H.edge_count) if mask >> i & 1)
+    J = strip(sub)
+    key = (J.n, J.edges)
+    if key not in seen:
+        seen[key] = (degree_cap(J), signature_cap(J), automorphism_count(J))
+    sym, want, aut = seen[key]
+    v, e, sig = _signature_key(H, mask)
+    assert (v, e) == (J.n, len(sub))
+    assert sym >= sig >= aut
+    assert sig == want
+
+
+@st.composite
+def masked_hosts(draw):
+    """A graph on 2-9 vertices with an edge, and a nonempty edge mask."""
+    v = draw(st.integers(min_value=2, max_value=9))
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    H = Graph(v, sorted(edges))
+    mask = draw(st.integers(min_value=1, max_value=(1 << H.edge_count) - 1))
+    return H, mask
+
+
+class TestSignatureCap:
+    """sym >= sig >= aut, where sig = prod_s m_s! over the vertex classes
+    of one signature s = (degree, sorted neighbour degrees)."""
+
+    @pytest.mark.parametrize("v", [2, 3, 4, 5, 6])
+    def test_every_edge_subset(self, v):
+        seen = {}
+        for H in graphs_on(v):
+            for mask, _, _, _ in _gray_steps(H):
+                assert_caps_bound_aut(H, mask, seen)
+
+    @pytest.mark.parametrize("v", [1, 2, 3, 4, 5, 6, 7])
+    def test_every_whole_graph(self, v):
+        for H in graphs_on(v):
+            if H.edge_count:
+                assert_caps_bound_aut(H, (1 << H.edge_count) - 1, {})
+
+    @given(masked_hosts())
+    def test_random_subsets(self, host_and_mask):
+        H, mask = host_and_mask
+        assert_caps_bound_aut(H, mask, {})
+        assert_caps_bound_aut(H, (1 << H.edge_count) - 1, {})
+
+    def test_refines_the_degree_classes(self):
+        # P4: the two ends and the two inner vertices form the degree
+        # classes and also the signature classes, sig = sym = 4 > aut = 2;
+        # on the spider with legs 1, 2, 2 the two degree-1 leg ends split
+        # from the degree-1 leaf next to the centre, so sig < sym
+        assert _signature_key(path_graph(4), 0b111) == (4, 3, 4)
+        spider = Graph(6, [(0, 1), (0, 2), (0, 4), (2, 3), (4, 5)])
+        assert degree_cap(spider) == 12
+        assert _signature_key(spider, 0b11111) == (6, 5, 4)
+        assert automorphism_count(spider) == 2
+
+
 def seed_bound(H: Graph, n: int, target_den: int):
     """Best threshold among the full edge set, a single edge and the
     densest part, with every aut counted from scratch."""
@@ -334,6 +415,38 @@ class TestPrunedWalk:
         # cap, past the 400k refusal
         with pytest.raises(EdgeCapError, match=r"candidate subsets \(423187\)"):
             q_min(path_graph(19), 20)
+
+
+def count_classified(monkeypatch) -> list:
+    """Count the subsets that reach an automorphism count, whatever any
+    aut memo already holds: one per _class_of_mask call."""
+    calls = [0]
+    classify = expectation._class_of_mask
+
+    def counted(*args):
+        calls[0] += 1
+        return classify(*args)
+
+    monkeypatch.setattr(expectation, "_class_of_mask", counted)
+    return calls
+
+
+class TestClassifiedSubsets:
+    """The signature cap settles most of the subsets that the degree-
+    symmetry cap leaves, before they are classified."""
+
+    def test_pruned_petersen(self, monkeypatch):
+        calls = count_classified(monkeypatch)
+        q_min(petersen_graph(), 10)
+        # the sym cap alone leaves 2,753 subsets, the sig cap 143
+        assert calls[0] <= 300
+
+    def test_triangle_anneal(self, monkeypatch):
+        calls = count_classified(monkeypatch)
+        q = make_value(Fraction(1, 120), 3)
+        extremal_search(10, q, complete_graph(3), 400, 3, host_cap=8)
+        # the sym cap alone leaves 10,399 subsets, the sig cap 1,641
+        assert calls[0] <= 2500
 
 
 class TestNewlyReachableHost:

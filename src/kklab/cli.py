@@ -457,16 +457,18 @@ def _cmd_required_l(args):
 
 
 def _cmd_verify_props(args):
-    from .verifier import verify_packing, verify_structure
+    from .expectation import _require_sparse
+    from .verifier import _packing_report, _structure_reports
 
     host = load_graph(args.graph)
-    reports = verify_structure(host, args.n, args.q)
+    # one certificate serves the structure and packing reports
+    _require_sparse(host, args.n, args.q)
+    reports = _structure_reports(host, args.n, args.q)
     if args.pattern is not None:
         pattern = load_graph(args.pattern)
         reports.append(
-            verify_packing(
-                host, pattern, args.n, args.q,
-                copy_cap=args.copy_cap, node_budget=args.node_budget,
+            _packing_report(
+                host, pattern, args.n, args.q, args.copy_cap, args.node_budget
             )
         )
     return _reports_doc(reports), None

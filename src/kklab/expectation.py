@@ -33,7 +33,7 @@ scans use three tiers, cheapest first:
    split degree classes, so aut <= sig <= sym.
 3. aut, an automorphism count, only for the subsets that neither cap
    settles.  Each scan memoizes it in a dict of its own: one per call of
-   a class scan (full table, pruned or heuristic), and one per
+   a class scan (full table, pruned or heuristic), and one, bounded, per
    ``_VerdictMemo``.
 
 The class sink, ``scan_subgraph_classes``, counts every subset into its
@@ -42,12 +42,14 @@ once, keeps the subsets whose (v, e, sym) cap can still reach a seeded
 lower bound, drops those whose (v, e, sig) cap cannot, and classifies only
 the rest.  The verdict sink, ``_VerdictMemo``, yields the subsets whose
 expectation is below 1 at one (n, q); a subset can violate only if
-(n)_v/cap * q^e < 1 for both caps, and both cap tests and each exact class
-verdict are cached.  The full edge set and the densest part
-(``_seed_masks``) seed the pruned path's bound and the cheap disproof of
-sparsity.  ``_VerdictMemo`` is also the one q-sparsity certificate: the
-crude count bound, the cheap disproof, the edge-cap refusal and the subset
-walk, in that order.
+(n)_v/cap * q^e < 1 for both caps, and the cap tests and exact class
+verdicts share one cache keyed by (v, e, cap).  The full edge set and the
+densest part (``_seed_masks``) seed the pruned path's bound and the cheap
+disproof of sparsity.  ``_VerdictMemo`` is also the one q-sparsity
+certificate: the crude count bound, the cheap disproof, the edge-cap
+refusal and the subset walk, in that order.  Each caller asks it once per
+host: ``required_L`` certifies before counting, and the search engines
+score the hosts they certified from the copies they counted.
 """
 
 import math
@@ -579,6 +581,9 @@ def safe_edge_bound(n: int, q, v_cap: int, e_cap: int) -> int:
     return min(e_cap, _VerdictMemo(n, q, e_cap).safe_edges(v_cap))
 
 
+_AUT_MEMO_CAP = 50_000
+
+
 class _VerdictMemo:
     """The q-sparsity certificate at one (n, q), with its verdicts memoized.
 
@@ -592,20 +597,21 @@ class _VerdictMemo:
     - sig (``_signature_key``), built only for the subsets that sym does
       not clear;
     - aut, counted only for the subsets that neither cap clears, and
-      memoized under the relabeled edge tuple in ``auts``.
+      memoized under the relabeled edge tuple in ``auts``, which is
+      emptied once it holds _AUT_MEMO_CAP entries.
 
-    Both cap tests are memoized per (v, e, cap) in ``bounds``.  The crude
-    count bound is memoized per vertex cap.  The keys do not depend on the
-    host, so one memo may serve many hosts.  max_edges bounds e.
+    All three tests are one comparison, so ``verdicts`` keeps each one
+    under its (v, e, cap) key, whichever cap it holds.  The crude count
+    bound is memoized per vertex cap.  The keys do not depend on the host,
+    so one memo may serve many hosts.  max_edges bounds e.
     """
 
-    __slots__ = ("n", "powers", "bounds", "classes", "auts", "safe")
+    __slots__ = ("n", "powers", "verdicts", "auts", "safe")
 
     def __init__(self, n: int, q, max_edges: int):
         self.n = n
         self.powers = [Fraction(1)] + [value_pow(q, e) for e in range(1, max_edges + 1)]
-        self.bounds: dict = {}
-        self.classes: dict = {}
+        self.verdicts: dict = {}
         self.auts: dict = {}
         self.safe: dict = {}
 
@@ -657,30 +663,27 @@ class _VerdictMemo:
             )
         return next(self.violations(H), None) is None
 
-    def may_violate(self, v: int, e: int, cap: int) -> bool:
-        """Is (n)_v/cap * q^e < 1, for cap any upper bound on aut?"""
+    def below_one(self, v: int, e: int, cap: int):
+        """(n)_v/cap * q^e when it is below 1, else False.  With cap = aut
+        this is the subset's exact verdict; with any larger cap it is a test
+        that may only clear the subset."""
         key = (v, e, cap)
-        hit = self.bounds.get(key)
+        hit = self.verdicts.get(key)
         if hit is None:
-            hit = (
-                value_cmp(
-                    value_mul(Fraction(math.perm(self.n, v), cap), self.powers[e]), 1
-                )
-                < 0
-            )
-            self.bounds[key] = hit
+            hit = value_mul(Fraction(math.perm(self.n, v), cap), self.powers[e])
+            if value_cmp(hit, 1) >= 0:
+                hit = False
+            self.verdicts[key] = hit
         return hit
 
     def violation(self, H: Graph, mask: int):
         """(expectation, edge tuple) when this edge subset of H has
         expectation below 1, else None."""
+        if len(self.auts) >= _AUT_MEMO_CAP:
+            self.auts.clear()
         key, tup = _class_of_mask(H, mask, self.auts)
-        if key not in self.classes:
-            v, e, aut = key
-            expectation = value_mul(Fraction(math.perm(self.n, v), aut), self.powers[e])
-            self.classes[key] = expectation if value_cmp(expectation, 1) < 0 else None
-        expectation = self.classes[key]
-        return None if expectation is None else (expectation, tup)
+        expectation = self.below_one(*key)
+        return None if expectation is False else (expectation, tup)
 
     def violations(self, H: Graph, required_edge: int | None = None):
         """Yield (expectation, edge tuple) for every violating edge subset of
@@ -692,8 +695,8 @@ class _VerdictMemo:
             # extraction, and the signature cap most of the rest
             if (
                 mask & req_bit == req_bit
-                and self.may_violate(v, e, sym)
-                and self.may_violate(*_signature_key(H, mask))
+                and self.below_one(v, e, sym) is not False
+                and self.below_one(*_signature_key(H, mask)) is not False
             ):
                 hit = self.violation(H, mask)
                 if hit is not None:
@@ -786,6 +789,21 @@ class RequiredL:
     pattern_edges: int
 
 
+def _required_L_of(copies: int, expectation, pattern_edges: int, digits: int) -> RequiredL:
+    """The RequiredL of a host already certified q-sparse, from its counted
+    copies and the pattern's expectation at q."""
+    value = Fraction(0)
+    if copies:
+        value = value_root(value_div(Fraction(copies), expectation), pattern_edges)
+    return RequiredL(
+        value=value,
+        enclosure=decimal_enclosure(value, digits),
+        copies=copies,
+        expectation=expectation,
+        pattern_edges=pattern_edges,
+    )
+
+
 def required_L(
     H: Graph,
     F: Graph,
@@ -793,35 +811,16 @@ def required_L(
     q,
     digits: int = DEFAULT_DIGITS,
     node_budget=None,
-    skip_sparsity_check: bool = False,
 ) -> RequiredL:
-    """Scale factor solving N(H,F) = L^{e_F} * E_qX_F, exactly."""
+    """Scale factor solving N(H,F) = L^{e_F} * E_qX_F, exactly, for a host
+    it certifies q-sparse (engines holding certified copies use _required_L_of)."""
     if F.edge_count < 1:
         raise PreconditionError("pattern must have at least one edge")
     if F.n > n:
         raise PreconditionError("pattern larger than the ambient n has expectation 0")
-    if not skip_sparsity_check:
-        _require_sparse(H, n, q)
+    _require_sparse(H, n, q)
     copies = count_copies(H, F, node_budget=node_budget)
-    expectation = expected_copies(n, q, F)
-    if copies == 0:
-        zero = Fraction(0)
-        return RequiredL(
-            value=zero,
-            enclosure=decimal_enclosure(zero, digits),
-            copies=0,
-            expectation=expectation,
-            pattern_edges=F.edge_count,
-        )
-    ratio = value_div(Fraction(copies), expectation)
-    value = value_root(ratio, F.edge_count)
-    return RequiredL(
-        value=value,
-        enclosure=decimal_enclosure(value, digits),
-        copies=copies,
-        expectation=expectation,
-        pattern_edges=F.edge_count,
-    )
+    return _required_L_of(copies, expected_copies(n, q, F), F.edge_count, digits)
 
 
 def peel_threshold_a(F: Graph, n: int, p) -> ExactValue:

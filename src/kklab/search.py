@@ -24,7 +24,7 @@ from .exact import (
     value_mul,
     value_to_json,
 )
-from .expectation import _VerdictMemo, expected_copies, required_L
+from .expectation import _VerdictMemo, _required_L_of, expected_copies
 from .graphs import Graph, canonical_form, parse_graph6, to_graph6
 from .montecarlo import _repair_edge, derive_rng
 from .util import (
@@ -88,13 +88,8 @@ def _make_counter(F: Graph):
 
 
 def certified_sparse(g: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> bool:
-    """Sparsity verdict that stays cheap on easy instances.
-
-    Order of attack: crude count bound (handles q near 1 at any size),
-    quick densest-part disproof for larger graphs, then the exact
-    early-exit subset scan.  Graphs past the scan cap whose quick disproof
-    finds nothing are refused rather than guessed at.
-    """
+    """Sparsity verdict that stays cheap on easy instances: one
+    ``_VerdictMemo.certify`` on a fresh memo at (n, q)."""
     return _VerdictMemo(n, q, g.edge_count).certify(g, edge_cap)
 
 
@@ -149,29 +144,21 @@ def exhaustive_sweep(
     _require_feasible(n, q)
     counter = _make_counter(F)
     memo = _VerdictMemo(n, q, math.comb(v_cap, 2))
-
-    def examine(g: Graph):
-        if not memo.certify(g, edge_cap):
-            return None
-        return (counter(g), to_graph6(g), g)
-
-    candidates = [g for v in range(1, v_cap + 1) for g in graphs_on(v)]
-    results = [examine(g) for g in candidates]
-    best = None
+    candidates = 0
     sparse_count = 0
-    for row in results:
-        if row is None:
-            continue
-        sparse_count += 1
-        if (
-            best is None
-            or row[0] > best[0]
-            or (row[0] == best[0] and row[1] < best[1])
-        ):
-            best = row
+    best = None
+    for v in range(1, v_cap + 1):
+        for g in graphs_on(v):
+            candidates += 1
+            if not memo.certify(g, edge_cap):
+                continue
+            sparse_count += 1
+            row = (counter(g), to_graph6(g), g)
+            if best is None or row[0] > best[0] or (row[0] == best[0] and row[1] < best[1]):
+                best = row
     # feasibility guarantees at least the single edge survives
     copies, _, graph = best
-    rl = required_L(graph, F, n, q, digits=digits, skip_sparsity_check=True)
+    rl = _required_L_of(copies, expected_copies(n, q, F), F.edge_count, digits)
     return SweepResult(
         graph=graph,
         copies=copies,
@@ -179,7 +166,7 @@ def exhaustive_sweep(
         enclosure=rl.enclosure,
         expectation=rl.expectation,
         pattern_edges=F.edge_count,
-        candidates=len(candidates),
+        candidates=candidates,
         sparse_candidates=sparse_count,
     )
 
@@ -345,7 +332,7 @@ def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooli
             temperature *= cooling
         if accepted % 100 == 0:
             audited += 1
-            if not certified_sparse(current, n, q, edge_cap):
+            if not memo.certify(current, edge_cap):
                 raise RuntimeError(
                     f"audit failed: accepted host is not q-sparse after move {step}"
                 )
@@ -441,11 +428,10 @@ def extremal_search(
 
     entries = []
     for g6, (copies, chain_idx, moves) in ranked:
-        graph = parse_graph6(g6)
-        rl = required_L(graph, F, n, q, digits=digits, skip_sparsity_check=True)
+        rl = _required_L_of(copies, expectation, F.edge_count, digits)
         entries.append(
             LeaderboardEntry(
-                graph=graph,
+                graph=parse_graph6(g6),
                 copies=copies,
                 score=rl.value,
                 enclosure=rl.enclosure,

@@ -72,6 +72,11 @@ def _base_inputs(H: Graph, n: int, q) -> dict:
 def verify_structure(H: Graph, n: int, q) -> list:
     """Five exact bound checks for a q-sparse host at scale n."""
     _require_sparse(H, n, q)
+    return _structure_reports(H, n, q)
+
+
+def _structure_reports(H: Graph, n: int, q) -> list:
+    """verify_structure's reports on a host already certified q-sparse."""
     inputs = _base_inputs(H, n, q)
     regime_note = (
         "" if value_cmp(q, Fraction(1, 2)) <= 0 else
@@ -174,6 +179,11 @@ def verify_packing(
 ) -> PropositionReport:
     """Edge-disjoint packing count against e times the expected copy count."""
     _require_sparse(H, n, q)
+    return _packing_report(H, J, n, q, copy_cap, node_budget)
+
+
+def _packing_report(H: Graph, J: Graph, n: int, q, copy_cap, node_budget) -> PropositionReport:
+    """verify_packing's report on a host already certified q-sparse."""
     nu = packing_number(H, J, mode="exact", copy_cap=copy_cap, node_budget=node_budget)
     expectation = expected_copies(n, q, J)
     if nu == 0:
@@ -539,8 +549,7 @@ def verify_main_inequality(
         raise PreconditionError("L must be positive")
     if F.edge_count < 1:
         raise PreconditionError("pattern must have at least one edge")
-    _require_sparse(H, n, q)
-    req = required_L(H, F, n, q, node_budget=node_budget, skip_sparsity_check=True)
+    req = required_L(H, F, n, q, node_budget=node_budget)
     rhs = value_mul(L**F.edge_count, req.expectation)
     verdict = value_cmp(Fraction(req.copies), rhs) < 0
     inputs = _base_inputs(H, n, q)

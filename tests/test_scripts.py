@@ -1,0 +1,29 @@
+"""The scripts' exit codes."""
+
+import importlib.util
+import pathlib
+
+from kklab import extremal_search
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestFreezeExtremalConstants:
+    def test_disagreeing_annealer_exits_one(self, monkeypatch, capsys):
+        freeze = load_script("freeze_extremal_constants")
+
+        def idle_annealer(n, q, pattern, budget, seed, host_cap):
+            # no moves: the edgeless host, which no sweep maximizer matches
+            return extremal_search(n, q, pattern, budget=0, seed=seed, host_cap=host_cap)
+
+        monkeypatch.setattr(freeze, "extremal_search", idle_annealer)
+        assert freeze.main(["--budget", "1", "--v-cap", "4"]) == 1
+        rows = capsys.readouterr().out.splitlines()[2:]
+        assert len(rows) == 3 and all(" NO " in row for row in rows)

@@ -1,11 +1,12 @@
 """Extremal machinery: exact sweep oracle and the annealing search."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from kklab import expectation
+from kklab import expectation, search
 from kklab import (
     PreconditionError,
     certified_sparse,
@@ -147,3 +148,64 @@ class TestAnnealer:
     def test_infeasible_q(self):
         with pytest.raises(PreconditionError):
             extremal_search(10, Fraction(1, 1000), complete_graph(3), budget=10, seed=0)
+
+
+class TestCertifyOnce:
+    """The engines score the hosts they certified from the copies they
+    counted, and an anneal's audits share its chain memo."""
+
+    @staticmethod
+    def k3_anneal():
+        q = q_min(complete_graph(3), 10).threshold
+        return extremal_search(10, q, complete_graph(3), budget=400, seed=3, host_cap=8)
+
+    @pytest.fixture
+    def recounts(self, monkeypatch):
+        calls = []
+        real = search.count_copies
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(search, "count_copies", counted)
+        monkeypatch.setattr(expectation, "count_copies", counted)
+        return calls
+
+    def test_sweep_does_not_recount(self, recounts):
+        q = q_min(complete_graph(3), 10).threshold
+        assert exhaustive_sweep(10, q, complete_graph(3), v_cap=6).copies == 1
+        assert recounts == []
+
+    def test_anneal_does_not_recount(self, recounts):
+        assert self.k3_anneal().entries
+        assert recounts == []
+
+    def test_anneal_builds_one_memo(self, monkeypatch):
+        built = []
+        real = search._VerdictMemo
+
+        def counted(*args):
+            built.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(search, "_VerdictMemo", counted)
+        result = self.k3_anneal()
+        assert result.metadata["chain_stats"][0]["audited"] == 2
+        assert len(built) == 1
+
+    def test_bounded_aut_memo_keeps_the_leaderboard(self, monkeypatch):
+        want = json.dumps(self.k3_anneal().to_json())
+        cap = 8
+        sizes = []
+        classify = expectation._class_of_mask
+
+        def watched(H, mask, auts):
+            sizes.append(len(auts))
+            return classify(H, mask, auts)
+
+        monkeypatch.setattr(expectation, "_AUT_MEMO_CAP", cap)
+        monkeypatch.setattr(expectation, "_class_of_mask", watched)
+        assert json.dumps(self.k3_anneal().to_json()) == want
+        # the memo filled to the cap, was emptied, and never passed it
+        assert max(sizes) == cap - 1 and sizes.count(0) > 1

@@ -2,6 +2,7 @@
 legal sequences, path-length cutoff, peeling."""
 
 import hashlib
+import inspect
 import json
 import random
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kklab.counting
+import kklab.expectation
 from kklab import (
     Graph,
     PreconditionError,
@@ -25,12 +27,14 @@ from kklab import (
     path_graph,
     peel_min_degree,
     q_min,
+    required_L,
     star_graph,
     verify_fit_partition,
     verify_main_inequality,
     verify_packing,
     verify_structure,
 )
+from kklab.cli import load_graph, main
 from kklab.verifier import DegreeProfile
 
 
@@ -277,3 +281,38 @@ class TestMainInequalityCountsOnce:
         report = verify_main_inequality(complete_graph(3), complete_graph(3), 10, q, 2)
         assert report.verdict and report.lhs == "1"
         assert len(calls) == 1
+
+
+class TestOneCertificate:
+    """Each command certifies its host once: one walk of the edge subsets."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        hosts = []
+        real = kklab.expectation._gray_steps
+
+        def counted(H):
+            hosts.append(H)
+            return real(H)
+
+        monkeypatch.setattr(kklab.expectation, "_gray_steps", counted)
+        return hosts
+
+    def test_verify_props_walks_the_host_once(self, walks, capsys):
+        argv = ["verify", "props", "--graph", "pathpower:8:2", "--n", "14",
+                "--q", "2/5", "--pattern", "P2"]
+        assert main(argv) == 0
+        assert len(json.loads(capsys.readouterr().out)["reports"]) == 6
+        assert walks == [load_graph("pathpower:8:2")]
+
+    def test_main_inequality_certifies_through_required_L(self, walks):
+        assert "skip_sparsity_check" not in inspect.signature(required_L).parameters
+        with pytest.raises(PreconditionError, match="not q-sparse"):
+            verify_main_inequality(
+                complete_graph(4), complete_graph(3), 10, Fraction(1, 10), 2
+            )
+        assert walks == [complete_graph(4)]
+
+    def test_direct_calls_still_refuse_a_dense_host(self):
+        with pytest.raises(PreconditionError, match="not q-sparse"):
+            verify_packing(complete_graph(4), path_graph(2), 10, Fraction(1, 10))

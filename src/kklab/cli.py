@@ -457,13 +457,11 @@ def _cmd_required_l(args):
 
 
 def _cmd_verify_props(args):
-    from .expectation import _require_sparse
-    from .verifier import _packing_report, _structure_reports
+    from .verifier import _packing_report, verify_structure
 
     host = load_graph(args.graph)
-    # one certificate serves the structure and packing reports
-    _require_sparse(host, args.n, args.q)
-    reports = _structure_reports(host, args.n, args.q)
+    # verify_structure's certificate also serves the packing report
+    reports = verify_structure(host, args.n, args.q)
     if args.pattern is not None:
         pattern = load_graph(args.pattern)
         reports.append(

@@ -581,6 +581,7 @@ def safe_edge_bound(n: int, q, v_cap: int, e_cap: int) -> int:
     return min(e_cap, _VerdictMemo(n, q, e_cap).safe_edges(v_cap))
 
 
+# about 40 MB of automorphism keys; a host-cap-12 anneal adds ~36 per move
 _AUT_MEMO_CAP = 50_000
 
 

@@ -72,11 +72,6 @@ def _base_inputs(H: Graph, n: int, q) -> dict:
 def verify_structure(H: Graph, n: int, q) -> list:
     """Five exact bound checks for a q-sparse host at scale n."""
     _require_sparse(H, n, q)
-    return _structure_reports(H, n, q)
-
-
-def _structure_reports(H: Graph, n: int, q) -> list:
-    """verify_structure's reports on a host already certified q-sparse."""
     inputs = _base_inputs(H, n, q)
     regime_note = (
         "" if value_cmp(q, Fraction(1, 2)) <= 0 else

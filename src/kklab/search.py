@@ -4,9 +4,10 @@ The objective is required_L(H, F, n, q): how far the pattern expectation at
 q must be scaled before it matches the copy count of F inside H.  Within a
 run, n, q, and F are fixed, so the expectation E is one constant and the
 score orders exactly like the copy count N.  Two engines live here: an
-exhaustive sweep over the small-graph catalog (the oracle) and a simulated
-annealer over edge toggles on a fixed vertex budget (the explorer).  Both
-keep every reported host certified q-sparse.
+exhaustive sweep over every q-sparse graph on a few vertices (the oracle),
+which builds only the sparse classes by the catalog's vertex-augmentation
+step, and a simulated annealer over edge toggles on a fixed vertex budget
+(the explorer).  Both keep every reported host certified q-sparse.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .catalog import graphs_on
+from .catalog import _GRAPH_COUNTS, _hereditary_levels
 from .counting import count_cliques, count_copies, count_cycles
 from .exact import (
     DEFAULT_DIGITS,
@@ -98,7 +99,15 @@ def certified_sparse(g: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> b
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Exact argmax of required_L over the cataloged sparse graphs."""
+    """Exact argmax of required_L over the q-sparse graphs on at most v_cap
+    vertices.
+
+    ``candidates`` is the number of graphs on at most v_cap vertices up to
+    isomorphism, the set the answer ranges over; it comes from a table of
+    those counts, since the sweep builds only the sparse ones.
+    ``sparse_candidates`` is the number of q-sparse classes among them, each
+    built, certified and scored once.
+    """
 
     graph: Graph
     copies: int
@@ -129,8 +138,16 @@ def exhaustive_sweep(
     edge_cap: int = DEFAULT_EDGE_CAP,
     digits: int = DEFAULT_DIGITS,
 ) -> SweepResult:
-    """Scan every graph on at most v_cap vertices, keep the q-sparse ones,
-    and return the exact maximizer of required_L with its score enclosure.
+    """Return the exact maximizer of required_L over the q-sparse graphs on
+    at most v_cap vertices, with its score enclosure.
+
+    q-sparseness is closed under subgraphs, so every sparse graph on v
+    vertices is a one-vertex extension of a sparse graph on v - 1 vertices:
+    each level is the catalog's extension step applied to the previous
+    sparse level, and each class it builds is certified once, by one memo
+    for all levels.  A non-sparse graph whose one-vertex-deleted subgraphs
+    are all non-sparse is never examined, so it cannot trigger the
+    edge-cap refusal.
 
     Ties in the copy count go to the smallest graph6 string, so reruns and
     the annealer agree on one canonical winner.  ``threads`` is accepted
@@ -144,15 +161,11 @@ def exhaustive_sweep(
     _require_feasible(n, q)
     counter = _make_counter(F)
     memo = _VerdictMemo(n, q, math.comb(v_cap, 2))
-    candidates = 0
     sparse_count = 0
     best = None
-    for v in range(1, v_cap + 1):
-        for g in graphs_on(v):
-            candidates += 1
-            if not memo.certify(g, edge_cap):
-                continue
-            sparse_count += 1
+    for level in _hereditary_levels(v_cap, lambda g: memo.certify(g, edge_cap)):
+        sparse_count += len(level)
+        for g in level:
             row = (counter(g), to_graph6(g), g)
             if best is None or row[0] > best[0] or (row[0] == best[0] and row[1] < best[1]):
                 best = row
@@ -166,7 +179,7 @@ def exhaustive_sweep(
         enclosure=rl.enclosure,
         expectation=rl.expectation,
         pattern_edges=F.edge_count,
-        candidates=candidates,
+        candidates=sum(_GRAPH_COUNTS[:v_cap]),
         sparse_candidates=sparse_count,
     )
 

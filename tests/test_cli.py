@@ -319,6 +319,14 @@ class TestRefusals:
         assert code == 3 and out == "" and "resource guard" in err
         assert results[1] == results[0]
 
+    def test_sweep_edge_cap_refusal(self, capsys):
+        # a 4-edge one-vertex extension of a sparse class on 3 vertices
+        code, out, err = run(
+            capsys, "sweep", "--pattern", "K3", "--n", "10", "--q", "root:120:3",
+            "--v-cap", "6", "--edge-cap", "3",
+        )
+        assert code == 3 and out == "" and "cannot certify 4 edges" in err
+
     def test_repair_budget_exhaustion_is_a_refusal(self, capsys):
         code, _, err = run(
             capsys, "gen", "--family", "gnp-repair", "--n", "10", "--q", "1/10",

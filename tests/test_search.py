@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
-from kklab import expectation, search
+from kklab import catalog, expectation, search
 from kklab import (
+    DEFAULT_EDGE_CAP,
     PreconditionError,
     certified_sparse,
     complete_graph,
@@ -95,6 +96,69 @@ class TestSweep:
         one = exhaustive_sweep(8, q, path_graph(2), v_cap=5, threads=1)
         four = exhaustive_sweep(8, q, path_graph(2), v_cap=5, threads=4)
         assert one.to_json() == four.to_json()
+
+
+class TestSparseLevels:
+    """The sweep extends only the sparse classes of each level; filtering
+    the full catalog level is its brute-force oracle."""
+
+    CASES = (
+        (complete_graph(3), 10, None),
+        (cycle_graph(4), 12, None),
+        (path_graph(3), 12, None),
+        (complete_graph(3), 10, Fraction(1)),
+    )
+
+    @pytest.mark.parametrize("F, n, q", CASES, ids=["K3", "C4", "P3", "q=1"])
+    def test_levels_match_the_filtered_catalog(self, monkeypatch, F, n, q):
+        q = q_min(F, n).threshold if q is None else q
+        seen = []
+        real = search._hereditary_levels
+
+        def recorded(*args):
+            for level in real(*args):
+                seen.append(level)
+                yield level
+
+        monkeypatch.setattr(search, "_hereditary_levels", recorded)
+        result = exhaustive_sweep(n, q, F, v_cap=6)
+        memo = expectation._VerdictMemo(n, q, math.comb(6, 2))
+        assert len(seen) == 6
+        for v, level in enumerate(seen, start=1):
+            full = graphs_on(v)
+            assert level == tuple(g for g in full if memo.certify(g, DEFAULT_EDGE_CAP))
+            if q == 1:
+                assert level == full
+        assert result.sparse_candidates == sum(map(len, seen))
+
+    def test_sweep_builds_only_sparse_classes(self, monkeypatch):
+        # each of the 1, 2, 4, 9, 20, 46 sparse classes on v = 1..6 vertices
+        # is extended by all 2^v neighbourhoods: 3,770 canonical forms, where
+        # extending every class on 1..6 vertices would take 11,290
+        calls = []
+        real = catalog.canonical_form
+
+        def counted(g):
+            calls.append(g.n)
+            return real(g)
+
+        def refuse(v):
+            raise AssertionError(f"the sweep built the full level on {v} vertices")
+
+        monkeypatch.setattr(catalog, "canonical_form", counted)
+        monkeypatch.setattr(catalog, "graphs_on", refuse)
+        monkeypatch.setattr(search, "graphs_on", refuse, raising=False)
+        q = q_min(complete_graph(3), 10).threshold
+        result = exhaustive_sweep(10, q, complete_graph(3), v_cap=7)
+        assert len(calls) == 3770
+        assert (result.candidates, result.sparse_candidates) == (1252, 186)
+
+    def test_candidates_come_from_the_count_table(self):
+        assert catalog._GRAPH_COUNTS[:7] == tuple(len(graphs_on(v)) for v in range(1, 8))
+        q = q_min(complete_graph(3), 10).threshold
+        for v_cap in range(1, 8):
+            result = exhaustive_sweep(10, q, complete_graph(3), v_cap=v_cap)
+            assert result.candidates == sum(len(graphs_on(v)) for v in range(1, v_cap + 1))
 
 
 class TestAnnealer:

@@ -3,9 +3,10 @@
 For each named pattern the script prints the expectation threshold p_E,
 the sparsity threshold q_min (both exact, shown as decimal enclosures),
 and a bisection estimate of the containment threshold with its
-confidence interval.  The ordering p_E <= q_min is checked exactly; the
-estimate column gives a sense of how far the exact quantities sit below
-the empirical threshold at small n.
+confidence interval.  The ordering p_E <= q_min is checked exactly, and
+the script exits 1 when any row breaks it; the estimate column gives a
+sense of how far the exact quantities sit below the empirical threshold
+at small n.
 """
 
 import argparse
@@ -51,6 +52,7 @@ def main(argv=None) -> int:
         ap.error(f"unknown patterns: {unknown}")
 
     print(f"{'pattern':8} {'p_E':>14} {'q_min':>14} {'p_c interval':>24} {'order':>6}")
+    disorders = 0
     for name in names:
         pattern = PATTERNS[name]
         pe = expectation_threshold(pattern, args.n)
@@ -62,11 +64,12 @@ def main(argv=None) -> int:
         lo = decimal_enclosure(est.interval[0], 4)[0]
         hi = decimal_enclosure(est.interval[1], 4)[1]
         ordered = value_cmp(pe.threshold, qm.threshold) <= 0
+        disorders += not ordered
         print(
             f"{name:8} {pe.enclosure[0][:14]:>14} {qm.enclosure[0][:14]:>14} "
             f"{f'[{lo}, {hi}]':>24} {'ok' if ordered else 'NO':>6}"
         )
-    return 0
+    return 1 if disorders else 0
 
 
 if __name__ == "__main__":

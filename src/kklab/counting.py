@@ -2,13 +2,16 @@
 
 The generic routine counts labeled embeddings (injections preserving
 pattern edges) by backtracking over a BFS ordering of the pattern with
-bitset candidate intersection and degree pruning; unlabeled copy counts
-divide by the pattern's automorphisms.  Specialized counters for cliques,
-cycles, and fixed-endpoint paths follow canonical enumeration orders so
-each object is seen exactly once, and must agree with the generic oracle.
+bitset candidate intersection.  Degree pruning is one mask per plan step,
+built once per walk: the host vertices of degree at least that of the
+step's pattern vertex.  Unlabeled copy counts divide by the pattern's
+automorphisms.  Specialized counters for cliques, cycles, and
+fixed-endpoint paths follow canonical enumeration orders so each object
+is seen exactly once, and must agree with the generic oracle.
 
 All counters take an optional node budget, one per call, spent by a
-single serial walk, so a refusal never depends on how the work is run.
+single serial walk, so a refusal never depends on how the work is run;
+``max_xy_paths`` spends one budget across all its endpoint pairs.
 When the running node count exceeds it, counting refuses with
 ``ResourceGuardError`` rather than returning a truncated value.
 ``count_labeled`` and ``iter_labeled`` (so also ``count_copies``) refuse
@@ -91,27 +94,20 @@ def frontier_estimate(host: Graph, pattern: Graph) -> int:
 
 
 def _forest_hom_count(host: Graph, pattern: Graph) -> int:
+    # in BFS order a forest vertex's one earlier neighbor is its parent, so
+    # walking the plan backwards finishes each subtree before its parent;
+    # h[idx][x]: homs of the subtree at step idx sending its vertex to x
+    plan = _match_plan(pattern)
+    h = [[1] * host.n for _ in plan]
     total = 1
-    for comp in pattern.components():
-        root = comp[0]
-        parent = {root: None}
-        order = [root]
-        queue = [root]
-        while queue:
-            v = queue.pop(0)
-            for w in pattern.neighbors(v):
-                if w not in parent:
-                    parent[w] = v
-                    order.append(w)
-                    queue.append(w)
-        # h[v][w]: homs of the subtree at v sending v to host vertex w
-        h = {v: [1] * host.n for v in comp}
-        for v in reversed(order):
-            for w in pattern.neighbors(v):
-                if parent.get(w) == v:
-                    for x in range(host.n):
-                        h[v][x] *= sum(h[w][y] for y in iter_bits(host.adj[x]))
-        total *= sum(h[root])
+    for idx in reversed(range(len(plan))):
+        earlier = plan[idx][1]
+        if earlier:
+            up, down = h[earlier[0]], h[idx]
+            for x in range(host.n):
+                up[x] *= sum(down[y] for y in iter_bits(host.adj[x]))
+        else:
+            total *= sum(h[idx])
     return total
 
 
@@ -123,27 +119,19 @@ def _run_embedding(host: Graph, pattern: Graph, budget, on_hit):
     """
     plan = _match_plan(pattern)
     k = len(plan)
-    degs_p = [pattern.degree(v) for v, _ in plan]
     adj = host.adj
-    nmask = host.vertex_mask()
+    # the degree test depends only on the step: fit[idx] holds the host
+    # vertices of degree at least that of the step's pattern vertex
+    degs = host.degrees()
+    needs = [pattern.degree(v) for v, _ in plan]
+    fit_of = {need: sum(1 << w for w, d in enumerate(degs) if d >= need) for need in set(needs)}
+    fit = [fit_of[need] for need in needs]
     assign = [0] * k
 
     def candidates(idx: int, used: int) -> int:
-        _, earlier = plan[idx]
-        if earlier:
-            mask = adj[assign[earlier[0]]]
-            for p in earlier[1:]:
-                mask &= adj[assign[p]]
-            mask &= ~used & nmask
-        else:
-            mask = ~used & nmask
-        need = degs_p[idx]
-        if need:
-            out = 0
-            for w in iter_bits(mask):
-                if adj[w].bit_count() >= need:
-                    out |= 1 << w
-            return out
+        mask = fit[idx] & ~used
+        for p in plan[idx][1]:
+            mask &= adj[assign[p]]
         return mask
 
     hits = 0
@@ -309,8 +297,11 @@ def count_xy_paths(host: Graph, x: int, y: int, edges: int, node_budget=None) ->
         raise ValueError("path length must be >= 1 edge")
     if not (0 <= x < host.n and 0 <= y < host.n):
         raise ValueError("endpoint out of range")
+    return _xy_paths(host, x, y, edges, _Budget(node_budget))
+
+
+def _xy_paths(host: Graph, x: int, y: int, edges: int, budget) -> int:
     adj = host.adj
-    budget = _Budget(node_budget)
 
     def dfs(u: int, visited: int, left: int) -> int:
         budget.spend()
@@ -329,15 +320,19 @@ def count_xy_paths(host: Graph, x: int, y: int, edges: int, node_budget=None) ->
 def max_xy_paths(host: Graph, edges: int, node_budget=None) -> tuple:
     """Max over distinct vertex pairs of the x-y path count; returns (count, (x, y)).
 
-    Ties resolve to the lexicographically first pair.
+    Ties resolve to the lexicographically first pair.  All pairs spend one
+    node budget.
     """
     if host.n < 2:
         raise ValueError("need at least two vertices for an endpoint pair")
+    if edges < 1:
+        raise ValueError("path length must be >= 1 edge")
+    budget = _Budget(node_budget)
     best = -1
     best_pair = (0, 1)
     for x in range(host.n):
         for y in range(x + 1, host.n):
-            got = count_xy_paths(host, x, y, edges, node_budget=node_budget)
+            got = _xy_paths(host, x, y, edges, budget)
             if got > best:
                 best = got
                 best_pair = (x, y)

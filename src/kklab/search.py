@@ -35,6 +35,7 @@ from .util import (
     SWEEP_VERTEX_CAP,
     EdgeCapError,  # re-exported from its old home
     PreconditionError,
+    iter_bits,
 )
 
 DEFAULT_HOST_CAP = 12
@@ -222,12 +223,15 @@ class SearchResult:
         }
 
 
-def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooling,
+def _run_chain(pattern_edges, counter, budget, seed, chain_idx, host_cap, top_k, cooling,
                edge_cap, memo, e_float, report_strippable):
     rng = derive_rng(seed, "search", chain_idx)
+    # the host is its pair mask: bit idx stands for pairs[idx], so the set
+    # bits in increasing order list the host's edges sorted
     pairs = [(i, j) for i in range(host_cap) for j in range(i + 1, host_cap)]
-    pair_bit = {pair: 1 << idx for idx, pair in enumerate(pairs)}
-    pattern_edges = F.edge_count
+
+    def host(mask: int) -> Graph:
+        return Graph(host_cap, [pairs[idx] for idx in iter_bits(mask)])
 
     def score_float(copies: int) -> float:
         if copies == 0:
@@ -236,58 +240,54 @@ def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooli
 
     count_cache = {0: 0}
 
-    def counted(graph: Graph, mask: int) -> int:
+    def counted(mask: int) -> int:
         hit = count_cache.get(mask)
         if hit is None:
-            hit = counter(graph)
+            hit = counter(host(mask))
             count_cache[mask] = hit
         return hit
 
     # addition outcomes are deterministic in the candidate, so memoize:
-    # mask of H+uv -> frozenset of repaired edges, or None when rejected
+    # mask of H+uv -> (settled mask, None), or (None, rejection reason)
     add_cache: dict = {}
 
-    def settle_addition(edges: set, toggled: tuple):
-        """(edges, None) on success, else (None, rejection reason)."""
-        cand = set(edges)
+    def settle_addition(mask: int, bit: int):
+        """(mask, None) on success, else (None, rejection reason)."""
         while True:
-            if len(cand) <= memo.safe_edges(host_cap):
-                return frozenset(cand), None
-            if len(cand) > edge_cap:
+            size = mask.bit_count()
+            if size <= memo.safe_edges(host_cap):
+                return mask, None
+            if size > edge_cap:
                 return None, "cap"
-            ordered = sorted(cand)
-            probe = Graph(host_cap, ordered)
-            hit = next(memo.violations(probe, ordered.index(toggled)), None)
+            probe = host(mask)
+            # the toggled edge's index among the sorted edges
+            hit = next(memo.violations(probe, (mask & (bit - 1)).bit_count()), None)
             if hit is None:
-                return frozenset(cand), None
-            drop = _repair_edge(probe, hit[1])
-            if drop == toggled:
+                return mask, None
+            drop = 1 << pairs.index(_repair_edge(probe, hit[1]))
+            if drop == bit:
                 return None, "untoggle"
-            cand.discard(drop)
+            mask ^= drop
 
     records: dict = {}
 
-    def record(graph: Graph, copies: int, moves: int) -> None:
-        shape = graph
+    def record(mask: int, copies: int, moves: int) -> None:
+        shape = host(mask)
         if report_strippable:
             # the edgeless host reports as K1
-            shape = graph.induced([v for v in range(graph.n) if graph.adj[v]] or [0])
+            shape = shape.induced([v for v in range(shape.n) if shape.adj[v]] or [0])
         g6 = to_graph6(canonical_form(shape))
-        prev = records.get(g6)
-        if prev is None or copies > prev[0]:
+        # copy counts are isomorphism invariant: a class keeps its first record
+        if g6 not in records:
             records[g6] = (copies, moves, g6)
         if len(records) > 8 * top_k:
             kept = sorted(records.values(), key=lambda r: (-r[0], r[2]))[: 4 * top_k]
             records.clear()
             records.update({r[2]: r for r in kept})
 
-    current = Graph(host_cap, [])
     cur_mask = 0
     cur_copies = 0
-    cur_edges: frozenset = frozenset()
-    best_copies = 0
-    best_graph = current
-    record(current, 0, 0)
+    record(cur_mask, 0, 0)
 
     temperature = None
     calibrated_t0 = None
@@ -300,31 +300,23 @@ def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooli
     record_gate = 0
 
     for step in range(1, budget + 1):
-        toggled = pairs[rng.randrange(len(pairs))]
-        if toggled in cur_edges:
-            cand_edges = cur_edges - {toggled}
-            cand_mask = cur_mask ^ pair_bit[toggled]
+        bit = 1 << rng.randrange(len(pairs))
+        if cur_mask & bit:
+            cand_mask = cur_mask ^ bit
         else:
-            key = cur_mask | pair_bit[toggled]
-            if key in add_cache:
-                settled, why = add_cache[key]
-            else:
-                settled, why = settle_addition(set(cur_edges) | {toggled}, toggled)
-                add_cache[key] = (settled, why)
-            if settled is None:
+            key = cur_mask | bit
+            if key not in add_cache:
+                add_cache[key] = settle_addition(key, bit)
+            cand_mask, why = add_cache[key]
+            if cand_mask is None:
                 if why == "cap":
                     unverifiable += 1
                 else:
                     repair_rejections += 1
                 continue
-            cand_edges = settled
-            if len(cand_edges) != len(cur_edges) + 1:
+            if cand_mask != key:
                 repaired_moves += 1
-            cand_mask = 0
-            for e in cand_edges:
-                cand_mask |= pair_bit[e]
-        cand = Graph(host_cap, sorted(cand_edges))
-        cand_copies = counted(cand, cand_mask)
+        cand_copies = counted(cand_mask)
         delta = score_float(cand_copies) - score_float(cur_copies)
         if delta >= 0:
             accept = True
@@ -339,21 +331,18 @@ def _run_chain(n, q, F, counter, budget, seed, chain_idx, host_cap, top_k, cooli
             accept = rng.random() < math.exp(delta / temperature)
         if not accept:
             continue
-        current, cur_mask, cur_copies, cur_edges = cand, cand_mask, cand_copies, cand_edges
+        cur_mask, cur_copies = cand_mask, cand_copies
         accepted += 1
         if temperature is not None:
             temperature *= cooling
         if accepted % 100 == 0:
             audited += 1
-            if not memo.certify(current, edge_cap):
+            if not memo.certify(host(cur_mask), edge_cap):
                 raise RuntimeError(
                     f"audit failed: accepted host is not q-sparse after move {step}"
                 )
-        if cur_copies > best_copies:
-            best_copies = cur_copies
-            best_graph = current
         if cur_copies >= record_gate:
-            record(current, cur_copies, step)
+            record(cur_mask, cur_copies, step)
             if len(records) >= top_k:
                 record_gate = sorted(
                     (r[0] for r in records.values()), reverse=True
@@ -424,8 +413,8 @@ def extremal_search(
 
     base, extra = divmod(budget, chains)
     outcomes = [
-        _run_chain(n, q, F, counter, base + (1 if idx < extra else 0), seed, idx, host_cap,
-                   top_k, cooling, edge_cap, memo, e_float, report_strippable)
+        _run_chain(F.edge_count, counter, base + (1 if idx < extra else 0), seed, idx,
+                   host_cap, top_k, cooling, edge_cap, memo, e_float, report_strippable)
         for idx in range(chains)
     ]
 

@@ -292,6 +292,18 @@ SEEDED_OUTPUTS = {
         ("sweep", "--pattern", "K3", "--n", "10", "--q", "root:120:3", "--v-cap", "7"),
         "19df1ebce00571e0c495d42ba4d017df1cf34d85c431c406065e13d0628e915c",
     ),
+    # three chains merged into one leaderboard
+    "search-K3-chains": (
+        ("search", "--pattern", "K3", "--n", "10", "--q", "root:120:3",
+         "--host-cap", "8", "--budget", "600", "--seed", "5", "--chains", "3"),
+        "1354ce7bb74ebae287dd7d614edd57cd89c993dc9b4f8233fee88ed286970e2b",
+    ),
+    # 35 additions rejected because the edge cap forbids certifying them
+    "search-K3-edge-cap": (
+        ("search", "--pattern", "K3", "--n", "10", "--q", "root:120:3",
+         "--host-cap", "8", "--budget", "400", "--seed", "3", "--edge-cap", "9"),
+        "ef7d8ccdfa054c7a5dcbcfc6aedb3766d5badbc8c7d7e2d2564796ec42e06f8e",
+    ),
 }
 
 
@@ -326,6 +338,13 @@ class TestRefusals:
             "--v-cap", "6", "--edge-cap", "3",
         )
         assert code == 3 and out == "" and "cannot certify 4 edges" in err
+
+    def test_gamma_spends_one_budget(self, capsys):
+        # the 45 endpoint pairs of the Petersen graph visit 795 nodes in all
+        code, out, err = run(
+            capsys, "gamma", "--graph", "petersen", "--length", "3", "--node-budget", "19"
+        )
+        assert code == 3 and out == "" and "resource guard" in err
 
     def test_repair_budget_exhaustion_is_a_refusal(self, capsys):
         code, _, err = run(

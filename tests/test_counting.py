@@ -1,10 +1,13 @@
 """Subgraph counting: generic backtracking, specialized counters, packing."""
 
+import itertools
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kklab.counting as counting
 from kklab import (
     Graph,
     ResourceGuardError,
@@ -19,6 +22,7 @@ from kklab import (
     count_xy_paths,
     cycle_graph,
     empty_graph,
+    frontier_estimate,
     graphs_on,
     iter_labeled,
     max_xy_paths,
@@ -155,6 +159,12 @@ class TestPaths:
         )
         assert total == count_copies(host, path_graph(edges))
 
+    def test_max_xy_paths_spends_one_budget(self):
+        # the 45 endpoint pairs of the Petersen graph visit 795 nodes in all
+        with pytest.raises(ResourceGuardError):
+            max_xy_paths(petersen_graph(), 3, node_budget=794)
+        assert max_xy_paths(petersen_graph(), 3, node_budget=795) == (2, (0, 2))
+
 
 class TestPacking:
     @pytest.mark.parametrize(
@@ -223,3 +233,75 @@ class TestCatalog:
         trees = trees_up_to(5)
         assert len(trees) == 8
         assert all(t.is_tree() for t in trees)
+
+
+def spent_nodes(monkeypatch, call):
+    """(result of call(), nodes spent by each budget it opened)."""
+    opened = []
+
+    class Spy(counting._Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            opened.append(self)
+
+    monkeypatch.setattr(counting, "_Budget", Spy)
+    got = call()
+    return got, [b.used for b in opened]
+
+
+class TestWalkPins:
+    """The embedding walk's node spends and frontier estimates, pinned."""
+
+    @pytest.fixture(scope="class")
+    def gnm_host(self):
+        # G(44, 300) drawn as the counting benchmark draws its seed-1 host
+        pairs = [(a, b) for a in range(44) for b in range(a + 1, 44)]
+        return Graph(44, sorted(random.Random("counting/1").sample(pairs, 300)))
+
+    @pytest.mark.parametrize(
+        "pattern,embeddings,nodes,estimate",
+        [
+            (cycle_graph(5), 455_770, 572_470, 20_106_944),
+            (path_graph(3), 107_912, 116_700, 127_428),
+        ],
+    )
+    def test_gnm_host(self, monkeypatch, gnm_host, pattern, embeddings, nodes, estimate):
+        got, spent = spent_nodes(monkeypatch, lambda: count_labeled(gnm_host, pattern))
+        assert (got, spent) == (embeddings, [nodes])
+        assert frontier_estimate(gnm_host, pattern) == estimate
+
+    def test_small_walk(self, monkeypatch):
+        got, spent = spent_nodes(
+            monkeypatch, lambda: count_labeled(complete_graph(8), path_graph(3), node_budget=3000)
+        )
+        assert (got, spent) == (1680, [2080])
+
+
+def brute_force_homs(host: Graph, pattern: Graph) -> int:
+    """Maps V(pattern) -> V(host) sending every pattern edge to a host edge."""
+    return sum(
+        all(host.adj[image[a]] >> image[b] & 1 for a, b in pattern.edges)
+        for image in itertools.product(range(host.n), repeat=pattern.n)
+    )
+
+
+class TestForestEstimate:
+    FORESTS = [
+        g for v in range(1, 6) for g in graphs_on(v)
+        if g.edge_count == g.n - len(g.components())
+    ]
+
+    @pytest.mark.parametrize(
+        "host",
+        [
+            empty_graph(3),
+            path_graph(3),
+            cycle_graph(5),
+            complete_graph(4),
+            Graph(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4)]),
+        ],
+    )
+    def test_forest_dp_matches_brute_force(self, host):
+        assert len(self.FORESTS) == 22
+        for forest in self.FORESTS:
+            assert counting._forest_hom_count(host, forest) == brute_force_homs(host, forest)

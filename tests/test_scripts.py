@@ -27,3 +27,13 @@ class TestFreezeExtremalConstants:
         assert freeze.main(["--budget", "1", "--v-cap", "4"]) == 1
         rows = capsys.readouterr().out.splitlines()[2:]
         assert len(rows) == 3 and all(" NO " in row for row in rows)
+
+
+class TestProbeThresholds:
+    def test_broken_order_exits_one(self, monkeypatch, capsys):
+        probe = load_script("probe_thresholds")
+        # every comparison reads p_E > q_min
+        monkeypatch.setattr(probe, "value_cmp", lambda a, b: 1)
+        assert probe.main(["--n", "8", "--patterns", "P2", "--trials", "20"]) == 1
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert len(rows) == 1 and rows[0].split()[-1] == "NO"

@@ -3,16 +3,26 @@
 Two jobs live here.  First, seeded G(n,p) sampling with exact Bernoulli
 draws (p may be rational or an exact root value) feeding a bisection
 estimator for the median containment probability: the p at which a random
-graph contains a target pattern with probability one half.  ``sample_gnp``
-normalises p once per sample, then draws each pair exactly as ``bernoulli``
-would: one ``randrange(den)`` draw for a rational p (none at p = 0 or 1),
-the dyadic refinement for a Root p.  Second, seeded generators that emit
-graphs certified q-sparse, either by repairing a random sample or by
-checking a structured family.
+graph contains a target pattern with probability one half.  Second, seeded
+generators that emit graphs certified q-sparse, either by repairing a
+random sample or by checking a structured family.
 
-All randomness flows through counter-based streams derived from a master
-seed and a task label, so each trial's sample depends only on its label
-and seeded runs are byte-identical.
+Every stream is a Mersenne Twister ``random.Random`` seeded with the
+sha256 of a master seed and a task label (``derive_rng``), so each trial's
+sample depends only on its label and seeded runs are byte-identical.
+
+``sample_gnp`` keeps each pair, in lexicographic order, exactly when
+``bernoulli`` would: ``randrange(den) < num`` for a rational p = num/den
+(no draw at p = 0 or 1), the dyadic refinement for a Root p.  For a plain
+``random.Random`` and den < 256 it reads the same stream in bulk.
+CPython's ``randrange(den)`` takes the top k = den.bit_length() bits of one
+32-bit word and draws again while they are at least den, so with k <= 8
+each draw is decided by a word's top byte: the sampler asks
+``getrandbits`` for one word per draw still missing, drops the words whose
+top byte is rejected, and repeats until every pair has its accepted byte.
+It never draws a word the per-pair loop would not, so the pairs kept and
+the generator's end state are the same.  Subclasses (whose ``randrange``
+may not run on ``getrandbits``) and den >= 256 draw per pair.
 """
 
 from __future__ import annotations
@@ -24,6 +34,8 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, compress
 from statistics import NormalDist
 
 from .counting import ResourceGuardError, contains
@@ -74,10 +86,10 @@ def _dyadic_draw(rng: random.Random, p: Root) -> bool:
 def bernoulli(rng: random.Random, p) -> bool:
     """One exact Bernoulli(p) draw; the per-pair reference for ``sample_gnp``.
 
-    Rational p costs a single ``randrange(den) < num`` draw, and none at
-    p = 0 or 1.  Root-valued p is decided by refining a random dyadic
-    interval until it separates from p; comparisons against the root are
-    exact, so no float ever enters.
+    Rational p = num/den costs a single ``randrange(den) < num`` draw, and
+    none at p = 0 or 1.  Root-valued p is decided by refining a random
+    dyadic interval until it separates from p; comparisons against the root
+    are exact, so no float ever enters.
     """
     if value_cmp(p, 0) < 0 or value_cmp(p, 1) > 0:
         raise PreconditionError(f"p={p} is not a probability")
@@ -91,26 +103,55 @@ def bernoulli(rng: random.Random, p) -> bool:
     return rng.randrange(p.denominator) < p.numerator
 
 
-def sample_gnp(n: int, p, rng: random.Random) -> Graph:
-    """Sample G(n,p): each of the C(n,2) pairs kept independently.
-
-    p is checked and normalised once per sample, and the pairs draw in
-    order exactly as ``bernoulli`` would: rational p makes one
-    ``randrange(den)`` draw per pair and none at p = 0 or 1; a Root p
-    runs the dyadic refinement per pair.
-    """
+@lru_cache(maxsize=32, typed=True)
+def _gnp_plan(n: int, p) -> tuple:
+    # (pairs, p, byte tables), checked and built once per (n, p); typed,
+    # because a Root equal to a rational still draws dyadically.  The
+    # tables exist only where one word's top byte decides a draw.
     if n < 0:
         raise PreconditionError(f"vertex count {n} is negative")
     if value_cmp(p, 0) < 0 or value_cmp(p, 1) > 0:
         raise PreconditionError(f"p={p} is not a probability")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    pairs = tuple(combinations(range(n), 2))
+    if isinstance(p, Root):
+        return pairs, p, None
+    p = Fraction(p)
+    num, den = p.numerator, p.denominator
+    if not 0 < p < 1 or den >= 256:
+        return pairs, p, None
+    # randrange(den) reads the top k bits of a word: byte b gives b >> shift
+    shift = 8 - den.bit_length()
+    reject = bytes(b for b in range(256) if b >> shift >= den)
+    keep = bytes(b >> shift < num for b in range(256))
+    return pairs, p, (reject, keep)
+
+
+def sample_gnp(n: int, p, rng: random.Random) -> Graph:
+    """Sample G(n,p): each of the C(n,2) pairs kept independently.
+
+    The pairs, in lexicographic order, are kept exactly as ``bernoulli``
+    would keep them from the same stream, and the generator ends in the
+    same state: rational p makes one ``randrange(den)`` draw per pair and
+    none at p = 0 or 1; a Root p runs the dyadic refinement per pair.  For
+    a plain ``random.Random`` and den < 256 the draws are read in bulk,
+    one 32-bit word per draw still missing (see the module docstring).
+    p is checked and the pair list built once per (n, p).
+    """
+    pairs, p, tables = _gnp_plan(n, p)
     if isinstance(p, Root):
         return Graph(n, [e for e in pairs if _dyadic_draw(rng, p)])
-    p = Fraction(p)
     if p == 0 or p == 1:
         return Graph(n, pairs if p else [])
-    num, den, randrange = p.numerator, p.denominator, rng.randrange
-    return Graph(n, [e for e in pairs if randrange(den) < num])
+    if tables is None or type(rng) is not random.Random:
+        num, den, randrange = p.numerator, p.denominator, rng.randrange
+        return Graph(n, [e for e in pairs if randrange(den) < num])
+    reject, keep = tables
+    getrandbits, accepted = rng.getrandbits, b""
+    while need := len(pairs) - len(accepted):
+        # word i of the draw is the i-th least significant 32 bits
+        words = getrandbits(32 * need).to_bytes(4 * need, "little")
+        accepted += words[3::4].translate(None, reject)
+    return Graph(n, compress(pairs, accepted.translate(keep)))
 
 
 # -- threshold estimation ----------------------------------------------------------

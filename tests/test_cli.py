@@ -316,6 +316,36 @@ class TestSeededOutputPins:
         assert hashlib.sha256(out.encode()).hexdigest() == want
 
 
+
+# sha256 of the stdout of seeded G(n,p) sampling: the pc trace, a
+# gnp-repair sample at p0 = 1/2 (bulk word draws) and one at a Root p0
+SAMPLER_OUTPUTS = {
+    "pc-C4-csv": (
+        ("pc", "--pattern", "C4", "--n", "24", "--trials", "250",
+         "--seed", "1748025857", "--format", "csv"),
+        "a280fd8adfe6f9060b0a5e8eecaf1baadc9da7595ba6a61c976d50097bc0fd79",
+    ),
+    "gen-gnp-repair-rational": (
+        ("gen", "--family", "gnp-repair", "--n", "12", "--q", "1/4",
+         "--vertices", "6", "--seed", "7"),
+        "e98f1e3039f756706d127c65a703df967957dd59794fa9b3f82fcb96893356fa",
+    ),
+    "gen-gnp-repair-root": (
+        ("gen", "--family", "gnp-repair", "--n", "12", "--q", "root:120:3",
+         "--vertices", "6", "--seed", "7"),
+        "212de93aac8c1ad784c74714b61317547420d14bef6c699c1e3e977b4bb0634a",
+    ),
+}
+
+
+class TestSamplerOutputPins:
+    @pytest.mark.parametrize("name", sorted(SAMPLER_OUTPUTS))
+    def test_stdout_digest(self, capsys, name):
+        argv, want = SAMPLER_OUTPUTS[name]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
 class TestRefusals:
     @pytest.mark.parametrize(
         "argv",

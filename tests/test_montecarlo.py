@@ -1,10 +1,12 @@
 """Seeded sampling, threshold bisection, and certified instance generators."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from kklab import montecarlo
 from kklab import (
     GENERATOR_FAMILIES,
     PreconditionError,
@@ -252,6 +254,56 @@ class TestSamplerOracle:
                 assert list(sample_gnp(n, p, a).edges) == reference
                 assert a.getstate() == b.getstate()
 
+
+
+class _FloatRandom(random.Random):
+    # overriding random() makes CPython's randrange draw through random(),
+    # not getrandbits, so the word-level draw rule no longer holds
+    def random(self):
+        return super().random()
+
+
+class TestBatchedSamplerOracle:
+    """The batched top-byte draws against ``bernoulli``, several rounds deep."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [
+            Fraction(1, 2),
+            Fraction(5, 8),
+            Fraction(1, 255),
+            Fraction(254, 255),
+            Fraction(127, 128),
+            Fraction(11, 128),
+            Fraction(9, 128),
+            Fraction(255, 256),  # den 256 needs 9 bits: the per-pair path
+        ],
+        ids=str,
+    )
+    @pytest.mark.parametrize("stream", ["derived", "float_subclass"])
+    def test_draw_for_draw(self, p, stream):
+        make = {"derived": lambda s: derive_rng(s, "batched", str(p)),
+                "float_subclass": _FloatRandom}[stream]
+        for seed in range(12):
+            a, b = make(seed), make(seed)
+            for n in (24, 40):
+                reference = [
+                    (i, j) for i in range(n) for j in range(i + 1, n) if bernoulli(b, p)
+                ]
+                assert list(sample_gnp(n, p, a).edges) == reference
+                assert a.getstate() == b.getstate()
+
+
+def test_pc_checks_p_once_per_probe(monkeypatch):
+    calls = []
+
+    def spy(x, y):
+        calls.append((x, y))
+        return value_cmp(x, y)
+
+    monkeypatch.setattr(montecarlo, "value_cmp", spy)
+    result = estimate_pc(TrialPlan(n=20, pattern=complete_graph(3), trials=250, seed=1))
+    assert 0 < len(calls) <= 2 * len(result.probes)
 
 def _probe(p, successes, wilson_low, wilson_high):
     return {

@@ -2,7 +2,9 @@
 
 The generic routine counts labeled embeddings (injections preserving
 pattern edges) by backtracking over a BFS ordering of the pattern with
-bitset candidate intersection.  Degree pruning is one mask per plan step,
+bitset candidate intersection.  That ordering, the match plan, depends on
+the pattern alone: a bounded ``lru_cache`` builds it once per pattern for
+every walk and estimate.  Degree pruning is one mask per plan step,
 built once per walk: the host vertices of degree at least that of the
 step's pattern vertex.  Unlabeled copy counts divide by the pattern's
 automorphisms.  Specialized counters for cliques, cycles, and
@@ -20,11 +22,14 @@ up front when the frontier estimate exceeds it, too; ``contains`` and
 alone.
 """
 
+from functools import lru_cache
+
 from .graphs import Graph, automorphism_count, degeneracy_order
 from .util import iter_bits
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_COPY_CAP = 200_000
+_PLAN_MEMO_CAP = 256  # distinct patterns; a run uses a handful
 
 
 class ResourceGuardError(RuntimeError):
@@ -46,8 +51,10 @@ class _Budget:
             )
 
 
-def _match_plan(pattern: Graph) -> list:
-    """Steps (vertex, earlier-position neighbor list) in per-component BFS order."""
+@lru_cache(maxsize=_PLAN_MEMO_CAP)
+def _match_plan(pattern: Graph) -> tuple:
+    """Steps (vertex, earlier-position neighbor tuple) in per-component BFS
+    order; built once per pattern and shared by every walk and estimate."""
     seen = set()
     order = []
     for start in range(pattern.n):
@@ -63,11 +70,10 @@ def _match_plan(pattern: Graph) -> list:
                     seen.add(w)
                     queue.append(w)
     pos = {v: i for i, v in enumerate(order)}
-    plan = []
-    for i, v in enumerate(order):
-        earlier = [pos[w] for w in pattern.neighbors(v) if pos[w] < i]
-        plan.append((v, tuple(sorted(earlier))))
-    return plan
+    return tuple(
+        (v, tuple(sorted(pos[w] for w in pattern.neighbors(v) if pos[w] < i)))
+        for i, v in enumerate(order)
+    )
 
 
 def frontier_estimate(host: Graph, pattern: Graph) -> int:

@@ -4,8 +4,12 @@ Threshold quantities in this package (minimal sparse q, expectation
 thresholds, required scale factors) are k-th roots of explicit positive
 rationals.  ``Root`` keeps them in the symbolic form ``base ** (1/exp)`` so
 that every comparison reduces to an exact integer comparison after
-cross-powering; decimal digits are produced only on output, as an enclosing
-interval at a requested precision (default 12 digits).
+cross-powering.  The normal form takes exact roots prime by prime: for each
+prime p of exp, while the base is an exact p-th power, it becomes its p-th
+root and exp loses a factor p.  A base that is at most an m-th power ends
+at exp / gcd(exp, m), the base 1 at exp 1, so the form is unique.  Decimal
+digits are produced only on output, as an enclosing interval at a
+requested precision (default 12 digits).
 
 Comparisons against multiples of Euler's number (needed by a couple of
 verified inequalities) use adaptively refined rational enclosures of e; the
@@ -75,21 +79,19 @@ class Root:
             raise ValueError("Root base must be positive")
         if exp < 1:
             raise ValueError("Root exponent must be >= 1")
-        # pull out perfect-power content to the smallest equivalent exponent
-        changed = True
-        while changed and exp > 1:
-            changed = False
-            for g in _divisors_desc(exp):
-                rn = exact_nth_root(base.numerator, g)
-                if rn is None:
-                    continue
-                rd = exact_nth_root(base.denominator, g)
-                if rd is None:
-                    continue
-                base = Fraction(rn, rd)
-                exp //= g
-                changed = True
-                break
+        # pull out perfect-power content one prime factor p of exp at a time
+        rest, p = exp, 2
+        while rest > 1:
+            if p * p > rest:
+                p = rest  # what is left of exp is prime
+            while rest % p == 0:
+                rest //= p
+                rn = exact_nth_root(base.numerator, p)
+                rd = None if rn is None else exact_nth_root(base.denominator, p)
+                if rd is not None:
+                    base = Fraction(rn, rd)
+                    exp //= p
+            p += 1
         self.base = base
         self.exp = exp
 
@@ -387,14 +389,3 @@ def parse_exact(text: str) -> ExactValue:
             raise ValueError(f"root token out of range: {text!r}")
         return make_value(1 / base, exp)
     return parse_rational(s)
-
-
-def _divisors_desc(n: int):
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
-    return sorted((x for x in out if x > 1), reverse=True)

@@ -532,6 +532,11 @@ def q_min(
     """Least q at which H is q-sparse, with the binding subgraph class."""
     _check_host(H, n)
     if mode == "heuristic":
+        if heuristic_vertex_cap < 2:
+            raise PreconditionError(
+                f"heuristic_vertex_cap={heuristic_vertex_cap} must be at least 2, "
+                "the vertices of one edge"
+            )
         classes = _connected_classes(H, heuristic_vertex_cap)
         return _build_report(H, n, 1, classes, digits, lower_bound_only=True)
     if mode != "exact":
@@ -739,12 +744,17 @@ def violation_scan(
     return False, hit[0], hit[1]
 
 
-def is_q_sparse(H: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> SparseCheck:
-    """Is every subgraph expectation at least 1?  On failure the returned
-    witness is the most-violating subgraph (lexicographic edge-set ties)."""
+def _check_sparse_input(H: Graph, n: int, q) -> None:
+    """The input check of every q-sparsity question asked from outside."""
     if n < H.n:
         raise PreconditionError(f"ambient n={n} is below the host's {H.n} vertices")
     _check_probability(q)
+
+
+def is_q_sparse(H: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> SparseCheck:
+    """Is every subgraph expectation at least 1?  On failure the returned
+    witness is the most-violating subgraph (lexicographic edge-set ties)."""
+    _check_sparse_input(H, n, q)
     m = H.edge_count
     # the crude count bound certifies hosts of any size, so it alone may
     # spare a host above the cap

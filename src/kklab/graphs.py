@@ -2,6 +2,9 @@
 
 Vertices are dense 0-based ids.  A ``Graph`` is immutable: the sorted edge
 tuple and the per-vertex adjacency bitmasks describe the same relation.
+The constructor is the one way to build one, and it checks every edge list
+it is given: the adjacency bitmask it fills in is also its duplicate test,
+and the hash is computed from ``(n, edges)`` when it is asked for.
 Isolated vertices are representable (``n`` may exceed the span of the
 edge list); they survive graph6 round trips, and the plain edge-list
 format carries them via an explicit ``n=<k>`` header line.
@@ -45,13 +48,12 @@ class GraphParseError(ValueError):
 class Graph:
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj", "_hash")
+    __slots__ = ("n", "edges", "adj")
 
     def __init__(self, n: int, edges=()):
         if n < 0:
             raise ValueError("vertex count must be >= 0")
         norm = []
-        seen = set()
         adj = [0] * n
         for u, v in edges:
             if u == v:
@@ -60,9 +62,8 @@ class Graph:
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u > v:
                 u, v = v, u
-            if (u, v) in seen:
+            if adj[u] >> v & 1:
                 raise ValueError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
             norm.append((u, v))
             adj[u] |= 1 << v
             adj[v] |= 1 << u
@@ -70,7 +71,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "adj", tuple(adj))
-        object.__setattr__(self, "_hash", hash((n, tuple(norm))))
 
     def __setattr__(self, name, value):
         raise AttributeError("Graph is immutable")
@@ -149,7 +149,7 @@ class Graph:
         )
 
     def __hash__(self):
-        return self._hash
+        return hash((self.n, self.edges))
 
     def __repr__(self):
         shown = list(self.edges[:8])

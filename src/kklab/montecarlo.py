@@ -342,9 +342,10 @@ def _clique_union(n: int, rng: random.Random, params: dict) -> Graph:
 
 
 def _theta(n: int, rng: random.Random, params: dict) -> Graph:
-    a = int(params.get("a", 0)) or rng.randrange(1, 4)
-    b = int(params.get("b", 0)) or rng.randrange(2, 5)
-    c = int(params.get("c", 0)) or rng.randrange(2, 5)
+    # draw only what is absent: an explicit 0 meets theta_graph's refusal
+    a = int(params["a"]) if "a" in params else rng.randrange(1, 4)
+    b = int(params["b"]) if "b" in params else rng.randrange(2, 5)
+    c = int(params["c"]) if "c" in params else rng.randrange(2, 5)
     return theta_graph(a, b, c)
 
 
@@ -357,8 +358,8 @@ def _spider(n: int, rng: random.Random, params: dict) -> Graph:
 
 def _path_power(n: int, rng: random.Random, params: dict) -> Graph:
     hi = max(5, min(n, 9))
-    vertices = int(params.get("vertices", 0)) or rng.randrange(4, hi)
-    power = int(params.get("power", 0)) or rng.randrange(1, 3)
+    vertices = int(params["vertices"]) if "vertices" in params else rng.randrange(4, hi)
+    power = int(params["power"]) if "power" in params else rng.randrange(1, 3)
     return path_power_graph(vertices, power)
 
 

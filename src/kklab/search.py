@@ -25,7 +25,7 @@ from .exact import (
     value_mul,
     value_to_json,
 )
-from .expectation import _VerdictMemo, _required_L_of, expected_copies
+from .expectation import _VerdictMemo, _check_sparse_input, _required_L_of, expected_copies
 from .graphs import Graph, canonical_form, parse_graph6, to_graph6
 from .montecarlo import _repair_edge, derive_rng
 from .util import (
@@ -91,7 +91,9 @@ def _make_counter(F: Graph):
 
 def certified_sparse(g: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> bool:
     """Sparsity verdict that stays cheap on easy instances: one
-    ``_VerdictMemo.certify`` on a fresh memo at (n, q)."""
+    ``_VerdictMemo.certify`` on a fresh memo at (n, q), after the input
+    check ``is_q_sparse`` makes."""
+    _check_sparse_input(g, n, q)
     return _VerdictMemo(n, q, g.edge_count).certify(g, edge_cap)
 
 
@@ -118,13 +120,14 @@ class SweepResult:
     pattern_edges: int
     candidates: int
     sparse_candidates: int
+    digits: int
 
     def to_json(self) -> dict:
         return {
             "graph6": to_graph6(self.graph),
             "score_enclosure": list(self.enclosure),
             "N": str(self.copies),
-            "E_q": value_to_json(self.expectation),
+            "E_q": value_to_json(self.expectation, self.digits),
             "candidates": self.candidates,
             "sparse_candidates": self.sparse_candidates,
         }
@@ -182,6 +185,7 @@ def exhaustive_sweep(
         pattern_edges=F.edge_count,
         candidates=sum(_GRAPH_COUNTS[:v_cap]),
         sparse_candidates=sparse_count,
+        digits=digits,
     )
 
 
@@ -198,13 +202,14 @@ class LeaderboardEntry:
     moves: int
     seed: int
     chain: int
+    digits: int
 
     def to_json(self) -> dict:
         return {
             "graph6": to_graph6(self.graph),
             "score_enclosure": list(self.enclosure),
             "N": str(self.copies),
-            "E_q": value_to_json(self.expectation),
+            "E_q": value_to_json(self.expectation, self.digits),
             "moves": self.moves,
             "seed": self.seed,
             "chain": self.chain,
@@ -328,7 +333,10 @@ def _run_chain(pattern_edges, counter, budget, seed, chain_idx, host_cap, top_k,
                 calibrated_t0 = mid / math.log(2) if mid > 0 else 1.0
                 temperature = calibrated_t0
         else:
-            accept = rng.random() < math.exp(delta / temperature)
+            # a temperature cooled to 0.0 rejects every downhill move, after
+            # the same draw, so the stream does not depend on the underflow
+            draw = rng.random()
+            accept = temperature > 0.0 and draw < math.exp(delta / temperature)
         if not accept:
             continue
         cur_mask, cur_copies = cand_mask, cand_copies
@@ -395,6 +403,10 @@ def extremal_search(
         raise PreconditionError(f"budget={budget} must be nonnegative")
     if chains < 1:
         raise PreconditionError(f"chains={chains} must be at least 1")
+    if top_k < 1:
+        raise PreconditionError(f"top_k={top_k} must be at least 1")
+    if not (math.isfinite(cooling) and cooling > 0):
+        raise PreconditionError(f"cooling={cooling} must be finite and positive")
     if host_cap is None:
         host_cap = min(DEFAULT_HOST_CAP, n)
     if not 2 <= host_cap <= n:
@@ -441,11 +453,12 @@ def extremal_search(
                 moves=moves,
                 seed=seed,
                 chain=chain_idx,
+                digits=digits,
             )
         )
     metadata = {
         "n": n,
-        "q": value_to_json(q),
+        "q": value_to_json(q, digits),
         "pattern": to_graph6(F),
         "budget": budget,
         "seed": seed,
@@ -455,7 +468,7 @@ def extremal_search(
         "cooling": cooling,
         "edge_cap": edge_cap,
         "safe_edge_bound": memo.safe_edges(host_cap),
-        "expectation": value_to_json(expectation),
+        "expectation": value_to_json(expectation, digits),
         "chain_stats": [meta for _, meta in outcomes],
     }
     return SearchResult(entries=tuple(entries), metadata=metadata)

@@ -206,6 +206,83 @@ class TestExitCodes:
         assert run(capsys, "qmin", "--graph", "K3", "--n", "10", "--precision", "3")[0] == 1
 
 
+class TestPreconditionRefusals:
+    """Inputs that once escaped as uncaught exceptions exit 2 instead."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("qmin", "--graph", "K4", "--n", "8", "--mode", "heuristic",
+             "--heuristic-vertex-cap", cap)
+            for cap in ("1", "0", "-1")
+        ] + [
+            ("search", "--pattern", "P2", "--n", "8", "--q", "1/2", "--host-cap", "5",
+             "--budget", "300", *extra)
+            for extra in (("--top-k", "0"), ("--top-k", "-1"), ("--cooling", "0"),
+                          ("--cooling", "-0.5"), ("--cooling", "nan"), ("--cooling", "inf"))
+        ],
+    )
+    def test_exits_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "precondition violated" in err and "Traceback" not in err
+
+    def test_heuristic_cap_is_checked_in_heuristic_mode_only(self, capsys):
+        doc = run_json(capsys, "qmin", "--graph", "K4", "--n", "8", "--heuristic-vertex-cap", "1")
+        assert doc["base_pair"]
+
+    def test_cooled_to_zero_keeps_going(self, capsys):
+        # at cooling 0.1 the temperature underflows to 0.0 within the run
+        doc = run_json(
+            capsys, "search", "--pattern", "P2", "--n", "10", "--q", "1/2", "--budget", "8000",
+            "--cooling", "0.1", "--host-cap", "6",
+        )
+        assert doc["metadata"]["chain_stats"][0]["final_temperature"] == 0.0
+        assert doc["leaderboard"]
+
+    @pytest.mark.parametrize(
+        "params",
+        [("--family", "theta", "--a", "0", "--b", "2", "--c", "2"),
+         ("--family", "path-power", "--vertices", "5", "--power", "0")],
+    )
+    def test_gen_refuses_an_explicit_zero(self, capsys, params):
+        code, out, err = run(capsys, "gen", *params, "--n", "12", "--q", "1/4")
+        assert code == 1 and out == "" and "Traceback" not in err
+
+
+class TestPrecision:
+    """Every root a sweep or search record prints carries --precision digits."""
+
+    def test_sweep_at_20_digits(self, capsys):
+        doc = run_json(
+            capsys, "sweep", "--pattern", "C4", "--n", "10", "--q", "root:50:3", "--v-cap", "5",
+            "--precision", "20",
+        )
+        assert doc["score_enclosure"] == ["0.96776187951486914303", "0.96776187951486914304"]
+        assert doc["E_q"] == {
+            "kind": "root", "base": "250047/6250", "exp": 3,
+            "decimal_lo": "3.42016619690958228011", "decimal_hi": "3.42016619690958228012",
+        }
+
+    def test_search_at_20_digits(self, capsys):
+        doc = run_json(
+            capsys, "search", "--pattern", "P2", "--n", "8", "--q", "root:50:3",
+            "--host-cap", "5", "--budget", "50", "--precision", "20",
+        )
+        roots = [doc["metadata"]["q"], doc["metadata"]["expectation"]]
+        roots += [entry["E_q"] for entry in doc["leaderboard"]]
+        for root in roots:
+            assert root["kind"] == "root"
+            assert len(root["decimal_lo"].split(".")[1]) == 20
+        assert doc["metadata"]["expectation"]["decimal_lo"] == "12.37834583543169899542"
+
+    def test_default_digits_unchanged(self, capsys):
+        doc = run_json(
+            capsys, "sweep", "--pattern", "C4", "--n", "10", "--q", "root:50:3", "--v-cap", "5",
+        )
+        assert doc["E_q"]["decimal_lo"] == "3.420166196909"
+
+
 class TestInputForms:
     def test_stdin_graph(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("Bw\n"))

@@ -13,6 +13,7 @@ from kklab import (
     ResourceGuardError,
     automorphism_count,
     bowtie_graph,
+    TrialPlan,
     complete_graph,
     copies_as_edge_masks,
     count_cliques,
@@ -22,6 +23,7 @@ from kklab import (
     count_xy_paths,
     cycle_graph,
     empty_graph,
+    estimate_pc,
     frontier_estimate,
     graphs_on,
     iter_labeled,
@@ -32,6 +34,8 @@ from kklab import (
     star_graph,
     trees_up_to,
 )
+from kklab.counting import contains
+from kklab.verifier import _prepare_tree
 
 
 def random_host(draw):
@@ -305,3 +309,29 @@ class TestForestEstimate:
         assert len(self.FORESTS) == 22
         for forest in self.FORESTS:
             assert counting._forest_hom_count(host, forest) == brute_force_homs(host, forest)
+
+
+class TestOnePlanPerPattern:
+    """``_match_plan`` runs its BFS once per distinct pattern; every walk,
+    estimate and tree preparation after that reads the memo."""
+
+    def test_one_plan_per_pattern_in_a_pc_run(self):
+        counting._match_plan.cache_clear()
+        result = estimate_pc(TrialPlan(n=20, pattern=complete_graph(3), trials=250, seed=1))
+        info = counting._match_plan.cache_info()
+        # the walk of every sample with at least three edges reads the plan
+        assert info.misses == 1
+        assert info.hits > sum(pr.trials for pr in result.probes) // 2
+
+    def test_every_reader_shares_the_plan(self):
+        tree = Graph(5, [(3, 0), (0, 4), (4, 1), (4, 2)])  # not in BFS order
+        host = petersen_graph()
+        counting._match_plan.cache_clear()
+        assert contains(host, tree)
+        labeled = count_labeled(host, tree)  # forest estimate, then the walk
+        assert len(list(iter_labeled(host, tree))) == labeled
+        assert copies_as_edge_masks(host, tree)
+        assert frontier_estimate(host, tree) >= 1
+        assert _prepare_tree(tree)[1] is not None
+        assert counting._match_plan.cache_info().misses == 1
+        assert counting._match_plan(tree) is counting._match_plan(Graph(5, tree.edges))

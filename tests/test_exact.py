@@ -21,6 +21,7 @@ from kklab import (
     value_root,
     value_to_json,
 )
+from kklab.exact import exact_nth_root
 
 fractions = st.fractions(
     min_value=Fraction(1, 10_000), max_value=Fraction(10_000)
@@ -43,6 +44,46 @@ class TestConstruction:
     @given(fractions, small_exps)
     def test_root_of_power_round_trips(self, x, k):
         assert value_root(value_pow(x, k), k) == x
+
+
+def reference_normal_form(base, exp):
+    """Root's normal form by the divisor loop Root once ran: on each pass,
+    take the largest divisor g > 1 of exp at which the base is an exact g-th
+    power, until a pass finds none."""
+    changed = True
+    while changed and exp > 1:
+        changed = False
+        for g in sorted((d for d in range(2, exp + 1) if exp % d == 0), reverse=True):
+            rn = exact_nth_root(base.numerator, g)
+            if rn is None:
+                continue
+            rd = exact_nth_root(base.denominator, g)
+            if rd is None:
+                continue
+            base = Fraction(rn, rd)
+            exp //= g
+            changed = True
+            break
+    return base, exp
+
+
+POWER_PARTS = (1, 2, 3, 4, 5, 6, 8, 9, 12, 16, 27, 32, 64, 81, 2**12, 3**8, 6**6, 2**24, 10**6)
+
+
+class TestNormalForm:
+    def test_matches_the_divisor_loop(self):
+        for num in POWER_PARTS:
+            for den in POWER_PARTS:
+                base = Fraction(num, den)
+                for exp in range(1, 25):
+                    r = Root(base, exp)
+                    assert (r.base, r.exp) == reference_normal_form(base, exp), (base, exp)
+
+    @given(fractions, st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=24))
+    def test_powers_match_the_divisor_loop(self, x, k, exp):
+        base = x**k
+        r = Root(base, exp)
+        assert (r.base, r.exp) == reference_normal_form(base, exp)
 
 
 class TestComparison:

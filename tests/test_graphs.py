@@ -18,6 +18,7 @@ from kklab import (
     complete_graph,
     cycle_graph,
     density,
+    derive_rng,
     disjoint_union,
     empty_graph,
     graphs_on,
@@ -29,6 +30,7 @@ from kklab import (
     path_graph,
     path_power_graph,
     petersen_graph,
+    sample_gnp,
     spider_graph,
     star_graph,
     theta_graph,
@@ -111,6 +113,87 @@ class TestConstructors:
         assert star_graph(5).is_tree()
         assert not cycle_graph(4).is_tree()
         assert not disjoint_union(path_graph(1), path_graph(1)).is_tree()
+
+
+def reference_graph(n, edges):
+    """(n, edges, adj, hash) by the set-based construction: dedupe through a
+    set of normalized pairs, then sort."""
+    if n < 0:
+        raise ValueError("vertex count must be >= 0")
+    seen = set()
+    adj = [0] * n
+    for u, v in edges:
+        if u == v:
+            raise ValueError(f"loop edge at vertex {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
+        u, v = min(u, v), max(u, v)
+        if (u, v) in seen:
+            raise ValueError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    norm = tuple(sorted(seen))
+    return n, norm, tuple(adj), hash((n, norm))
+
+
+def built(g):
+    return g.n, g.edges, g.adj, hash(g)
+
+
+@st.composite
+def shuffled_edge_lists(draw):
+    """A simple graph's edge list in any order, each edge in either orientation."""
+    n = draw(st.integers(min_value=0, max_value=12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    flips = draw(st.lists(st.booleans(), min_size=len(chosen), max_size=len(chosen)))
+    edges = [(v, u) if flip else (u, v) for (u, v), flip in zip(chosen, flips)]
+    return n, draw(st.permutations(edges))
+
+
+class TestGraphConstructor:
+    """The one constructor: every refusal, its precedence, and the value it
+    builds, against the set-based reference."""
+
+    @pytest.mark.parametrize(
+        "n,edges,message",
+        [
+            (-1, [], "vertex count must be >= 0"),
+            (3, [(0, 1), (2, 2)], "loop edge at vertex 2"),
+            # a loop out of range reports the loop
+            (2, [(5, 5)], "loop edge at vertex 5"),
+            (3, [(0, 3)], "edge (0, 3) out of range for n=3"),
+            (3, [(3, 0)], "edge (3, 0) out of range for n=3"),
+            (3, [(-1, 2)], "edge (-1, 2) out of range for n=3"),
+            (2, [(0, 1), (1, 0)], "duplicate edge (0, 1)"),
+            (4, [(2, 3), (1, 2), (3, 2)], "duplicate edge (2, 3)"),
+        ],
+    )
+    def test_refusals(self, n, edges, message):
+        with pytest.raises(ValueError) as err:
+            Graph(n, edges)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as ref:
+            reference_graph(n, edges)
+        assert str(ref.value) == message
+
+    def test_catalog_matches_reference(self):
+        for v in range(1, 8):
+            for g in graphs_on(v):
+                assert built(g) == reference_graph(g.n, g.edges)
+
+    def test_samples_match_reference(self):
+        for seed in range(40):
+            rng = derive_rng(seed, "constructor")
+            n = rng.randrange(0, 25)
+            g = sample_gnp(n, Fraction(rng.randrange(1, 8), 8), rng)
+            assert built(g) == reference_graph(n, g.edges)
+
+    @given(shuffled_edge_lists())
+    def test_shuffled_edge_lists_match_reference(self, case):
+        n, edges = case
+        assert built(Graph(n, edges)) == reference_graph(n, edges)
 
 
 class TestDensity:

@@ -46,6 +46,20 @@ class TestCertifiedSparse:
         for g in graphs_on(4):
             assert certified_sparse(g, n, q) == is_q_sparse(g, n, q).sparse
 
+    @pytest.mark.parametrize(
+        "g,n,q,message",
+        [
+            (complete_graph(4), 3, Fraction(1, 2), "ambient n=3 is below the host's 4 vertices"),
+            (path_graph(2), 10, Fraction(3, 2), "probability must lie in [0, 1]"),
+            (path_graph(2), 10, Fraction(-1, 2), "probability must lie in [0, 1]"),
+        ],
+    )
+    def test_refuses_what_the_reference_check_refuses(self, g, n, q, message):
+        for check in (certified_sparse, is_q_sparse):
+            with pytest.raises(PreconditionError) as err:
+                check(g, n, q)
+            assert str(err.value) == message
+
     def test_matches_reference_check_at_the_triangle_root(self):
         n = 10
         q = q_min(complete_graph(3), n).threshold

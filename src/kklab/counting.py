@@ -11,6 +11,12 @@ automorphisms.  Specialized counters for cliques, cycles, and
 fixed-endpoint paths follow canonical enumeration orders so each object
 is seen exactly once, and must agree with the generic oracle.
 
+The walks that only count (``count_labeled``, ``count_cycles`` and the
+x-y path walks) never step into their last level: the candidates there
+are one bitmask, counted with ``int.bit_count``, and the node budget is
+charged for all of them in one spend.  The total spent is the same as a
+leaf-by-leaf walk's, so every count and every refusal is too.
+
 All counters take an optional node budget, one per call, spent by a
 single serial walk, so a refusal never depends on how the work is run;
 ``max_xy_paths`` spends one budget across all its endpoint pairs.
@@ -117,11 +123,12 @@ def _forest_hom_count(host: Graph, pattern: Graph) -> int:
     return total
 
 
-def _run_embedding(host: Graph, pattern: Graph, budget, on_hit):
+def _run_embedding(host: Graph, pattern: Graph, budget, on_hit=None):
     """Shared backtracking core; calls on_hit(assignment) per embedding.
 
     on_hit returning True stops the search early.  Returns the number of
-    embeddings visited.
+    embeddings visited.  With no on_hit the walk only counts: the last
+    step's candidates are counted by popcount and spent in bulk.
     """
     plan = _match_plan(pattern)
     k = len(plan)
@@ -144,6 +151,11 @@ def _run_embedding(host: Graph, pattern: Graph, budget, on_hit):
 
     def walk(idx: int, used: int) -> bool:
         nonlocal hits
+        if on_hit is None and idx + 1 == k:
+            leaves = candidates(idx, used).bit_count()
+            budget.spend(leaves)
+            hits += leaves
+            return False
         for w in iter_bits(candidates(idx, used)):
             budget.spend()
             assign[idx] = w
@@ -181,7 +193,7 @@ def count_labeled(host: Graph, pattern: Graph, node_budget=None) -> int:
     budget = _embedding_budget(host, pattern, node_budget)
     if budget is None:
         return 0
-    return _run_embedding(host, pattern, budget, lambda a: False)
+    return _run_embedding(host, pattern, budget)
 
 
 def iter_labeled(host: Graph, pattern: Graph, node_budget=None):
@@ -282,11 +294,15 @@ def count_cycles(host: Graph, k: int, node_budget=None) -> int:
         higher = full & ~((1 << (r + 1)) - 1)
 
         def dfs(u: int, visited: int, depth: int, first: int) -> int:
+            nxt = adj[u] & higher & ~visited
+            if depth == k - 2:
+                # u's node and one per last vertex, which closes a cycle
+                # when adjacent to r and above first
+                budget.spend(1 + nxt.bit_count())
+                return (nxt & adj[r] & ~((2 << first) - 1)).bit_count()
             budget.spend()
-            if depth == k - 1:
-                return 1 if (adj[u] >> r & 1) and first < u else 0
             got = 0
-            for w in iter_bits(adj[u] & higher & ~visited):
+            for w in iter_bits(nxt):
                 got += dfs(w, visited | 1 << w, depth + 1, first)
             return got
 
@@ -310,13 +326,14 @@ def _xy_paths(host: Graph, x: int, y: int, edges: int, budget) -> int:
     adj = host.adj
 
     def dfs(u: int, visited: int, left: int) -> int:
+        if left == 1:
+            # u's node and one per last vertex, of which only y ends a path
+            last = adj[u] & ~visited
+            budget.spend(1 + last.bit_count())
+            return last >> y & 1
         budget.spend()
-        if left == 0:
-            return 1 if u == y else 0
         total = 0
-        for w in iter_bits(adj[u] & ~visited):
-            if w == y and left > 1:
-                continue
+        for w in iter_bits(adj[u] & ~visited & ~(1 << y)):
             total += dfs(w, visited | 1 << w, left - 1)
         return total
 

@@ -46,8 +46,9 @@ expectation is below 1 at one (n, q); a subset can violate only if
 verdicts share one cache keyed by (v, e, cap).  The full edge set and the
 densest part (``_seed_masks``) seed the pruned path's bound and the cheap
 disproof of sparsity.  ``_VerdictMemo`` is also the one q-sparsity
-certificate: the crude count bound, the cheap disproof, the edge-cap
-refusal and the subset walk, in that order.  Each caller asks it once per
+certificate: the crude count bound, the cheap disproof and the subset
+walk, in that order, with the edge-cap refusal in place of the walk (and,
+at most 15 edges, of the disproof too).  Each caller asks it once per
 host: ``required_L`` certifies before counting, and the search engines
 score the hosts they certified from the copies they counted.
 """
@@ -655,19 +656,25 @@ class _VerdictMemo:
 
     def certify(self, H: Graph, edge_cap: int) -> bool:
         """The q-sparsity verdict on H, cheapest test first: the crude count
-        bound, the quick disproof on the seed masks above 15 edges, the
-        refusal past edge_cap, then the early-exit subset scan."""
+        bound, the quick disproof on the seed masks, then the early-exit
+        subset scan.  Past edge_cap it refuses instead, unless H has more
+        than 15 edges and the disproof rejects it."""
         m = H.edge_count
         if self.crude_certifies(H):
             return True
-        if m > 15 and any(self.violation(H, mask) for mask in _seed_masks(H)):
-            return False
         if m > edge_cap:
+            if m > 15 and self.seeds_violate(H):
+                return False
             raise EdgeCapError(
                 f"cannot certify {m} edges: exact scan capped at {edge_cap} and the "
                 "quick disproof found no violation"
             )
-        return next(self.violations(H), None) is None
+        return not self.seeds_violate(H) and next(self.violations(H), None) is None
+
+    def seeds_violate(self, H: Graph) -> bool:
+        """The quick disproof: does H's full edge set or its densest part
+        have expectation below 1?"""
+        return any(self.violation(H, mask) for mask in _seed_masks(H))
 
     def below_one(self, v: int, e: int, cap: int):
         """(n)_v/cap * q^e when it is below 1, else False.  With cap = aut

@@ -253,14 +253,20 @@ def spent_nodes(monkeypatch, call):
     return got, [b.used for b in opened]
 
 
+def gnm_sample() -> Graph:
+    """G(44, 300) drawn as the counting benchmark draws its seed-1 host."""
+    pairs = [(a, b) for a in range(44) for b in range(a + 1, 44)]
+    return Graph(44, sorted(random.Random("counting/1").sample(pairs, 300)))
+
+
 class TestWalkPins:
-    """The embedding walk's node spends and frontier estimates, pinned."""
+    """The walks' node spends and frontier estimates, pinned.  A walk
+    refuses exactly when its spend passes the budget, however it groups
+    the spending: a budget of the spend passes and one less refuses."""
 
     @pytest.fixture(scope="class")
     def gnm_host(self):
-        # G(44, 300) drawn as the counting benchmark draws its seed-1 host
-        pairs = [(a, b) for a in range(44) for b in range(a + 1, 44)]
-        return Graph(44, sorted(random.Random("counting/1").sample(pairs, 300)))
+        return gnm_sample()
 
     @pytest.mark.parametrize(
         "pattern,embeddings,nodes,estimate",
@@ -279,6 +285,79 @@ class TestWalkPins:
             monkeypatch, lambda: count_labeled(complete_graph(8), path_graph(3), node_budget=3000)
         )
         assert (got, spent) == (1680, [2080])
+
+    def test_gnm_cycles(self, monkeypatch, gnm_host):
+        got, spent = spent_nodes(monkeypatch, lambda: count_cycles(gnm_host, 5))
+        assert (got, spent) == (45_577, [319_891])
+
+    def test_small_xy_walk(self, monkeypatch):
+        # K7, 0 to 1 in 4 edges: 1 + 5 + 5*4 + 5*4*3 + 5*4*3*3 nodes
+        got, spent = spent_nodes(monkeypatch, lambda: count_xy_paths(complete_graph(7), 0, 1, 4))
+        assert (got, spent) == (60, [266])
+
+    @pytest.mark.parametrize(
+        "pattern,embeddings,nodes",
+        [
+            (cycle_graph(5), 455_770, 572_470),
+            (path_graph(3), 107_912, 116_700),
+        ],
+    )
+    def test_gnm_embedding_budget_edge(self, gnm_host, pattern, embeddings, nodes):
+        # the frontier estimate refuses both budgets up front, so the walk
+        # is run on its own
+        with pytest.raises(ResourceGuardError, match=f"budget of {nodes - 1} "):
+            counting._run_embedding(gnm_host, pattern, counting._Budget(nodes - 1))
+        assert counting._run_embedding(gnm_host, pattern, counting._Budget(nodes)) == embeddings
+
+    def test_small_embedding_budget_edge(self):
+        host, pattern = complete_graph(8), path_graph(3)
+        with pytest.raises(ResourceGuardError, match="budget of 2079 "):
+            counting._run_embedding(host, pattern, counting._Budget(2079))
+        assert counting._run_embedding(host, pattern, counting._Budget(2080)) == 1680
+
+    def test_gnm_cycles_budget_edge(self, gnm_host):
+        with pytest.raises(ResourceGuardError, match="budget of 319890 "):
+            count_cycles(gnm_host, 5, node_budget=319_890)
+        assert count_cycles(gnm_host, 5, node_budget=319_891) == 45_577
+
+    def test_small_xy_budget_edge(self):
+        with pytest.raises(ResourceGuardError, match="budget of 265 "):
+            count_xy_paths(complete_graph(7), 0, 1, 4, node_budget=265)
+        assert count_xy_paths(complete_graph(7), 0, 1, 4, node_budget=266) == 60
+
+
+class TestBruteForceOracles:
+    """The counting walks against enumerations that share no code with them,
+    on hosts with at most 7 vertices."""
+
+    @given(hosts, st.sampled_from(PATTERNS))
+    def test_labeled_is_injective_maps(self, host, pattern):
+        want = sum(
+            all(host.adj[image[a]] >> image[b] & 1 for a, b in pattern.edges)
+            for image in itertools.permutations(range(host.n), pattern.n)
+        )
+        assert count_labeled(host, pattern) == want
+
+    @given(hosts, st.integers(min_value=3, max_value=7))
+    def test_cycles_are_closed_sequences(self, host, k):
+        # each k-cycle is 2k closed sequences: k starts, two directions
+        closed = sum(
+            all(host.adj[seq[i - 1]] >> seq[i] & 1 for i in range(k))
+            for seq in itertools.permutations(range(host.n), k)
+        )
+        assert closed % (2 * k) == 0
+        assert count_cycles(host, k) == closed // (2 * k)
+
+    @given(hosts, st.integers(min_value=1, max_value=6))
+    def test_xy_paths_are_simple_paths(self, host, edges):
+        for x, y in itertools.permutations(range(host.n), 2):
+            inner = [w for w in range(host.n) if w not in (x, y)]
+            want = sum(
+                all(host.adj[seq[i]] >> seq[i + 1] & 1 for i in range(edges))
+                for middle in itertools.permutations(inner, edges - 1)
+                for seq in [(x, *middle, y)]
+            )
+            assert count_xy_paths(host, x, y, edges) == want
 
 
 def brute_force_homs(host: Graph, pattern: Graph) -> int:

@@ -1,5 +1,6 @@
 """Extremal machinery: exact sweep oracle and the annealing search."""
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -17,6 +18,7 @@ from kklab import (
     extremal_search,
     graphs_on,
     is_q_sparse,
+    make_value,
     path_graph,
     q_min,
     score_pair_cmp,
@@ -80,6 +82,57 @@ class TestCertifiedSparse:
         monkeypatch.setattr(expectation, "value_pow", counted)
         exhaustive_sweep(10, q, complete_graph(3), v_cap=6)
         assert len(calls) <= math.comb(6, 2) + 1
+
+
+def brute_aut(edges: tuple) -> int:
+    """Permutations of the spanned vertices that keep the edge set."""
+    at = {x: i for i, x in enumerate(sorted({x for e in edges for x in e}))}
+    pairs = [(at[a], at[b]) for a, b in edges]
+    both_ways = set(pairs) | {(b, a) for a, b in pairs}
+    return sum(
+        all((p[a], p[b]) in both_ways for a, b in pairs)
+        for p in itertools.permutations(range(len(at)))
+    )
+
+
+class TestCertifyOracle:
+    """``_VerdictMemo.certify`` against the exact expectation of every edge
+    subset, its aut counted by permutations, on every catalog graph on at
+    most 6 vertices.  q = root^(1/k), so a subset on v vertices with e
+    edges violates when ((n)_v / aut)^k * root^e < 1."""
+
+    GRAPHS = [g for v in range(1, 7) for g in graphs_on(v)]
+
+    @pytest.fixture(scope="class")
+    def auts(self):
+        return {}
+
+    @staticmethod
+    def brute_sparse(H, n, root, k, auts, below) -> bool:
+        for mask in range(1, 1 << H.edge_count):
+            edges = tuple(e for i, e in enumerate(H.edges) if mask >> i & 1)
+            v, e = len({x for pair in edges for x in pair}), len(edges)
+            if (v, e) not in below:
+                # aut <= v!, so no subset with (n)_v/v! * q^e >= 1 violates
+                below[v, e] = Fraction(math.comb(n, v)) ** k * root ** e < 1
+            if not below[v, e]:
+                continue
+            if edges not in auts:
+                auts[edges] = brute_aut(edges)
+            if Fraction(math.perm(n, v), auts[edges]) ** k * root ** e < 1:
+                return False
+        return True
+
+    @pytest.mark.parametrize(
+        "root,k,sparse", [(Fraction(1, 120), 3, 82), (Fraction(1, 4), 1, 106)]
+    )
+    def test_every_subset(self, auts, root, k, sparse):
+        n = 10
+        below = {}
+        want = [self.brute_sparse(g, n, root, k, auts, below) for g in self.GRAPHS]
+        assert sum(want) == sparse
+        memo = expectation._VerdictMemo(n, make_value(root, k), math.comb(6, 2))
+        assert [memo.certify(g, DEFAULT_EDGE_CAP) for g in self.GRAPHS] == want
 
 
 class TestSweep:
@@ -166,6 +219,23 @@ class TestSparseLevels:
         result = exhaustive_sweep(10, q, complete_graph(3), v_cap=7)
         assert len(calls) == 3770
         assert (result.candidates, result.sparse_candidates) == (1252, 186)
+
+    def test_certify_walks_only_after_the_disproof(self, monkeypatch):
+        # the seed-mask disproof rejects most classes before any subset walk
+        q = q_min(complete_graph(3), 10).threshold
+        walks, steps = [], [0]
+        real = expectation._gray_steps
+
+        def counted(H):
+            walks.append(H)
+            for step in real(H):
+                steps[0] += 1
+                yield step
+
+        monkeypatch.setattr(expectation, "_gray_steps", counted)
+        result = exhaustive_sweep(10, q, complete_graph(3), v_cap=7)
+        assert result.sparse_candidates == 186
+        assert (len(walks), steps[0]) == (154, 10_511)
 
     def test_candidates_come_from_the_count_table(self):
         assert catalog._GRAPH_COUNTS[:7] == tuple(len(graphs_on(v)) for v in range(1, 8))

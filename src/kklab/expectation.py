@@ -34,7 +34,9 @@ scans use three tiers, cheapest first:
 3. aut, an automorphism count, only for the subsets that neither cap
    settles.  Each scan memoizes it in a dict of its own: one per call of
    a class scan (full table, pruned or heuristic), and one, bounded, per
-   ``_VerdictMemo``.
+   ``_VerdictMemo``.  The key is the subset relabeled in signature order
+   (``_class_of_mask``), so isomorphic subsets mostly share an entry and
+   a scan counts each isomorphism class about once.
 
 The class sink, ``scan_subgraph_classes``, counts every subset into its
 (v, e, aut) class (the full table).  On larger hosts the pruned path walks
@@ -189,16 +191,14 @@ def _subset_of_mask(H: Graph, mask: int):
     return sub, vm
 
 
-def _signature_key(H: Graph, mask: int) -> tuple:
-    """(v, e, sig) of one edge subset of H, where sig = prod_s m_s! and m_s
-    counts the spanned vertices with signature s = (degree, sorted
-    neighbour degrees).
+def _subset_profile(H: Graph, mask: int):
+    """(edge list, vertex mask, signatures) of one edge subset of H.
 
-    Automorphisms preserve signatures (one round of colour refinement), so
-    aut <= sig, and signature classes split degree classes, so sig <= sym.
-    A signature is kept as the sum of 2^(w*d) over the neighbours' degrees
-    d: with w = H.n.bit_length(), each degree occurs fewer than 2^w times,
-    so the sum encodes the multiset exactly (and with it the degree).
+    signatures[x] is the sum of 2^(w*d) over the degrees d of x's
+    neighbours in the subset, with w = H.n.bit_length(): each degree occurs
+    fewer than 2^w times, so the sum encodes the multiset exactly (and with
+    it x's degree).  It is 0 exactly at the vertices the subset does not
+    span.
     """
     sub, vm = _subset_of_mask(H, mask)
     deg = [0] * H.n
@@ -210,6 +210,18 @@ def _signature_key(H: Graph, mask: int) -> tuple:
     for a, b in sub:
         sums[a] += 1 << w * deg[b]
         sums[b] += 1 << w * deg[a]
+    return sub, vm, sums
+
+
+def _signature_key(H: Graph, mask: int) -> tuple:
+    """(v, e, sig) of one edge subset of H, where sig = prod_s m_s! and m_s
+    counts the spanned vertices with signature s = (degree, sorted
+    neighbour degrees), kept as in ``_subset_profile``.
+
+    Automorphisms preserve signatures (one round of colour refinement), so
+    aut <= sig, and signature classes split degree classes, so sig <= sym.
+    """
+    sub, vm, sums = _subset_profile(H, mask)
     sizes: dict = {}
     sig = 1
     for s in sums:
@@ -220,14 +232,32 @@ def _signature_key(H: Graph, mask: int) -> tuple:
 
 
 def _class_of_mask(H: Graph, mask: int, auts: dict):
-    """((v, e, aut), edge tuple) of one edge subset of H; auts memoizes the
-    automorphism counts under the relabeled edge tuple."""
-    sub, vm = _subset_of_mask(H, mask)
+    """((v, e, aut), edge tuple) of one edge subset of H.
+
+    auts memoizes the automorphism counts under the subset relabeled in
+    signature order: the spanned vertices sorted by signature, ties broken
+    by vertex id, become 0..v-1, and the key is v with the sorted relabeled
+    edges.  The key is a copy of the subset, so a hit is always an
+    isomorphic graph and aut stays exact; isomorphic subsets whose
+    signature classes line up share one entry, so a scan counts each
+    isomorphism class about once rather than once per vertex labelling.
+    """
+    sub, vm, sums = _subset_profile(H, mask)
     v = vm.bit_count()
-    norm = _normalize_subset(sub, vm)
-    aut = auts.get((v, norm))
+    # the H.n - v unspanned vertices (signature 0) sort first; sorted is
+    # stable, so ties keep vertex-id order
+    pos = [0] * H.n
+    for i, x in enumerate(sorted(range(H.n), key=sums.__getitem__), v - H.n):
+        pos[x] = i
+    norm = []
+    for a, b in sub:
+        a, b = pos[a], pos[b]
+        norm.append((a, b) if a < b else (b, a))
+    norm.sort()
+    key = (v, tuple(norm))
+    aut = auts.get(key)
     if aut is None:
-        aut = auts[v, norm] = automorphism_count(Graph(v, list(norm)))
+        aut = auts[key] = automorphism_count(Graph(v, norm))
     return (v, len(sub), aut), tuple(sub)
 
 
@@ -587,7 +617,7 @@ def safe_edge_bound(n: int, q, v_cap: int, e_cap: int) -> int:
     return min(e_cap, _VerdictMemo(n, q, e_cap).safe_edges(v_cap))
 
 
-# about 40 MB of automorphism keys; a host-cap-12 anneal adds ~36 per move
+# about 40 MB of automorphism keys; a host-cap-12 anneal adds ~11 per move
 _AUT_MEMO_CAP = 50_000
 
 
@@ -604,8 +634,9 @@ class _VerdictMemo:
     - sig (``_signature_key``), built only for the subsets that sym does
       not clear;
     - aut, counted only for the subsets that neither cap clears, and
-      memoized under the relabeled edge tuple in ``auts``, which is
-      emptied once it holds _AUT_MEMO_CAP entries.
+      memoized in ``auts`` under the subset relabeled in signature order
+      (``_class_of_mask``); the dict is emptied once it holds
+      _AUT_MEMO_CAP entries.
 
     All three tests are one comparison, so ``verdicts`` keeps each one
     under its (v, e, cap) key, whichever cap it holds.  The crude count

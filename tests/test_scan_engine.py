@@ -1,7 +1,8 @@
 """Edge-subset scans against brute force: class table, pruned path,
-violation scan, certified_sparse on big hosts, heuristic mode, the
-walker's degree-symmetry bound, the signature bound, the pruned table
-against the full one and how many subsets the scans classify."""
+violation scan, certified_sparse on big hosts, hosts with tied
+signatures, heuristic mode, the walker's degree-symmetry bound, the
+signature bound, the aut memo key, the pruned table against the full one,
+and how many subsets the scans classify and how many auts they count."""
 
 import math
 import random
@@ -16,6 +17,7 @@ from kklab import (
     EdgeCapError,
     Graph,
     automorphism_count,
+    canonical_key,
     certified_sparse,
     complete_graph,
     cycle_graph,
@@ -25,6 +27,7 @@ from kklab import (
     graphs_on,
     is_q_sparse,
     make_value,
+    parse_graph,
     path_graph,
     path_power_graph,
     petersen_graph,
@@ -149,6 +152,56 @@ class TestViolationScan:
         assert not verdict and tup == H.edges
         assert violation_scan(H, 10, q, required_edge=5)[2] == H.edges
         assert violation_scan(complete_graph(3), 10, q, required_edge=0)[0]
+
+
+def hypercube_graph(d: int) -> Graph:
+    return Graph(1 << d, [(a, a | 1 << i) for a in range(1 << d) for i in range(d)
+                          if not a >> i & 1])
+
+
+# hosts whose edge subsets include isomorphism classes that one round of
+# colour refinement cannot split: on the cube Q3 (12 edges) the 8-cycle and
+# two disjoint 4-cycles are both 2-regular on 8 vertices, and on the prism
+# the 6-cycle and two disjoint triangles both on 6; K3,3 has no triangle,
+# but in its regular subsets (the perfect matchings and the 6-cycles) all
+# vertices tie, so only the vertex-id tie-break orders them
+TIED_HOSTS = [
+    hypercube_graph(3),
+    Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+    Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (0, 3), (1, 4), (2, 5)]),
+]
+
+
+class TestSignatureTies:
+    """The class table and the violation scans against brute force on
+    hosts where isomorphic and non-isomorphic subsets share signatures."""
+
+    @pytest.mark.parametrize("H", TIED_HOSTS, ids=to_graph6)
+    def test_class_table(self, H):
+        assert scan_subgraph_classes(H) == brute_classes(H)
+
+    @pytest.mark.parametrize("H", TIED_HOSTS, ids=to_graph6)
+    def test_violations(self, H):
+        n = H.n + 2
+        # at 1/4 (Q3, n = 10) 2C4 violates and C8 does not; at 1/3 (n = 8)
+        # 2C3 violates and C6 does not
+        for q in (Fraction(1, 4), Fraction(1, 3), q_min(H, n).threshold):
+            found = brute_violations(H, n, q)
+            hits = list(expectation._VerdictMemo(n, q, H.edge_count).violations(H))
+            assert sorted(tup for _, tup in hits) == sorted(tup for _, tup in found)
+            want = {tup: x for x, tup in found}
+            assert all(value_cmp(x, want[tup]) == 0 for x, tup in hits)
+            verdict, worst, tup = violation_scan(H, n, q)
+            assert verdict == (not found)
+            if found:
+                least = min(found, key=cmp_to_key(by_expectation_then_edges))
+                assert value_cmp(worst, least[0]) == 0 and tup == least[1]
+
+    def test_tied_classes_occur(self):
+        # C8 (aut 16) and 2C4 (aut 128) in Q3, C6 (aut 12) and 2C3 (aut 72)
+        # in the prism: same (v, e) and same signatures, different aut
+        assert {(8, 8, 16), (8, 8, 128)} <= set(scan_subgraph_classes(TIED_HOSTS[0]))
+        assert {(6, 6, 12), (6, 6, 72)} <= set(scan_subgraph_classes(TIED_HOSTS[2]))
 
 
 K7_MINUS_5 = Graph(7, [(a, b) for a in range(7) for b in range(a + 1, 7)][:16])
@@ -320,6 +373,33 @@ class TestSignatureCap:
         assert automorphism_count(spider) == 2
 
 
+@st.composite
+def small_masked_hosts(draw):
+    """A graph on 2-7 vertices with an edge, and a nonempty edge mask."""
+    v = draw(st.integers(min_value=2, max_value=7))
+    pairs = [(a, b) for a in range(v) for b in range(a + 1, v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=1))
+    H = Graph(v, sorted(edges))
+    mask = draw(st.integers(min_value=1, max_value=(1 << H.edge_count) - 1))
+    return H, mask
+
+
+class TestAutMemoKey:
+    """_class_of_mask memoizes aut under a relabeled copy of the subset."""
+
+    @given(small_masked_hosts())
+    def test_key_is_an_isomorphic_copy(self, host_and_mask):
+        H, mask = host_and_mask
+        for m in (mask, (1 << H.edge_count) - 1):
+            sub = tuple(H.edges[i] for i in range(H.edge_count) if m >> i & 1)
+            auts = {}
+            (v, e, aut), tup = expectation._class_of_mask(H, m, auts)
+            (key,) = auts
+            assert tup == sub
+            assert canonical_key(Graph(*key)) == canonical_key(strip(sub))
+            assert (v, e, aut) == (key[0], len(sub), automorphism_count(strip(sub)))
+
+
 def seed_bound(H: Graph, n: int, target_den: int):
     """Best threshold among the full edge set, a single edge and the
     densest part, with every aut counted from scratch."""
@@ -447,6 +527,38 @@ class TestClassifiedSubsets:
         extremal_search(10, q, complete_graph(3), 400, 3, host_cap=8)
         # the sym cap alone leaves 10,399 subsets, the sig cap 1,641
         assert calls[0] <= 2500
+
+
+def count_auts(monkeypatch) -> list:
+    """Count the automorphism counts that the scans make."""
+    calls = [0]
+    real = expectation.automorphism_count
+
+    def counted(g):
+        calls[0] += 1
+        return real(g)
+
+    monkeypatch.setattr(expectation, "automorphism_count", counted)
+    return calls
+
+
+class TestAutCounts:
+    """Isomorphic subsets mostly share one aut memo entry."""
+
+    def test_full_table(self, monkeypatch):
+        calls = count_auts(monkeypatch)
+        H = parse_graph("G@ttDg")
+        assert H.edge_count == 13 and len(scan_subgraph_classes(H)) == 124
+        # 8,191 subsets in 567 isomorphism classes; 1,148 counts, and
+        # 6,674 when the memo was keyed in vertex-id order
+        assert calls[0] <= 1300
+
+    def test_triangle_anneal(self, monkeypatch):
+        calls = count_auts(monkeypatch)
+        q = make_value(Fraction(1, 120), 3)
+        extremal_search(10, q, complete_graph(3), 400, 3, host_cap=8)
+        # 541 counts, and 1,119 when the memo was keyed in vertex-id order
+        assert calls[0] <= 700
 
 
 class TestNewlyReachableHost:

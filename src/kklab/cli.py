@@ -13,19 +13,22 @@ witness printed to stderr, 3 resource-guard refusals.  Any other failure
 is a defect and surfaces as an uncaught exception.
 
 Import layers: importing this module loads only the base layers that
-graph loading, the argument types and the exit-code mapping need:
-``util``, ``exact``, ``graphs`` and ``counting``.  ``counting`` is one of
-them because it owns ``ResourceGuardError``, which ``main`` maps to exit
-code 3, and because every upper layer imports it anyway.  Each handler
-imports the upper layer it runs (``expectation``, ``verifier``,
-``montecarlo`` or ``search``) when it runs, so a command starts up on
-the layers it uses and no others.
+graph loading and the exit-code mapping need: ``util``, ``graphs`` and
+``counting``.  ``counting`` is one of them because it owns
+``ResourceGuardError``, which ``main`` maps to exit code 3, and because
+every upper layer imports it anyway.  ``exact`` and ``csv`` are imported
+by the argument converters, handlers and CSV renderers that use them, and
+each handler imports the upper layer it runs (``expectation``,
+``verifier``, ``montecarlo`` or ``search``) when it runs.  ``main`` builds
+the subparser of the one subcommand it runs.  So a command starts up on
+the layers it uses and no others: the graph-level commands (``aut``,
+``count``, ``pack``, ``gamma``, ``density``) on the three base layers,
+without ``exact``, ``csv`` or ``dataclasses``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import pathlib
@@ -44,7 +47,6 @@ from .counting import (
     max_xy_paths,
     packing_number,
 )
-from .exact import format_fraction, parse_exact, parse_rational, value_mul, value_to_json
 from .graphs import (
     Graph,
     GraphParseError,
@@ -95,6 +97,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _exact_value(text: str):
+    from .exact import parse_exact
+
     try:
         return parse_exact(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -102,6 +106,8 @@ def _exact_value(text: str):
 
 
 def _rational(text: str) -> Fraction:
+    from .exact import parse_rational
+
     try:
         return parse_rational(text)
     except (ValueError, ZeroDivisionError) as exc:
@@ -246,12 +252,14 @@ def _render_text(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _emit(args, doc: dict, csv_text: str | None = None) -> None:
+def _emit(args, doc: dict, csv_table=None) -> None:
+    """Write the report; ``csv_table`` renders a tabular result as CSV text
+    and is called only for ``--format csv``."""
     fmt = getattr(args, "format", "json")
     if fmt == "csv":
-        if csv_text is None:
+        if csv_table is None:
             raise _InputError("csv output is not available for this subcommand")
-        rendered = csv_text
+        rendered = csv_table()
     elif fmt == "text":
         text = doc.pop("_text", None)
         rendered = text if text is not None else _render_text(doc)
@@ -266,6 +274,8 @@ def _emit(args, doc: dict, csv_text: str | None = None) -> None:
 
 
 def _leaderboard_csv(entries) -> str:
+    import csv
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["rank", "graph6", "score_lo", "score_hi", "N", "moves", "seed", "chain"])
@@ -277,10 +287,25 @@ def _leaderboard_csv(entries) -> str:
     return buf.getvalue()
 
 
+def _sweep_csv(result) -> str:
+    import csv
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["graph6", "score_lo", "score_hi", "N", "candidates", "sparse_candidates"])
+    lo, hi = result.enclosure
+    writer.writerow(
+        [to_graph6(result.graph), lo, hi, result.copies, result.candidates, result.sparse_candidates]
+    )
+    return buf.getvalue()
+
+
 # -- shared serializers ------------------------------------------------------
 
 
 def _sparsity_doc(report, label: str, digits: int) -> dict:
+    from .exact import value_to_json
+
     return {
         "schema": SCHEMA,
         label: value_to_json(report.threshold, digits),
@@ -398,6 +423,7 @@ def _cmd_pe(args):
 
 
 def _cmd_sparse_check(args):
+    from .exact import value_to_json
     from .expectation import is_q_sparse
 
     host = load_graph(args.graph)
@@ -416,6 +442,7 @@ def _cmd_sparse_check(args):
 
 
 def _cmd_expect(args):
+    from .exact import value_mul, value_to_json
     from .expectation import expected_copies
 
     pattern = load_graph(args.pattern)
@@ -434,6 +461,7 @@ def _cmd_expect(args):
 
 
 def _cmd_required_l(args):
+    from .exact import value_to_json
     from .expectation import required_L
 
     host = load_graph(args.graph)
@@ -528,6 +556,7 @@ def _cmd_peel(args):
 
 
 def _cmd_ellhat(args):
+    from .exact import format_fraction
     from .verifier import ell_hat
 
     result = ell_hat(args.n, args.q, args.delta)
@@ -556,10 +585,11 @@ def _cmd_pc(args):
     result = estimate_pc(plan)
     doc = {"schema": SCHEMA}
     doc.update(result.to_json())
-    return doc, result.trace_csv()
+    return doc, result.trace_csv
 
 
 def _cmd_gen(args):
+    from .exact import value_to_json
     from .montecarlo import derive_rng, generate_sparse
 
     params = {}
@@ -605,7 +635,7 @@ def _cmd_search(args):
     )
     doc = {"schema": SCHEMA}
     doc.update(result.to_json())
-    return doc, _leaderboard_csv(result.entries)
+    return doc, lambda: _leaderboard_csv(result.entries)
 
 
 def _cmd_sweep(args):
@@ -622,14 +652,7 @@ def _cmd_sweep(args):
     )
     doc = {"schema": SCHEMA}
     doc.update(result.to_json())
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["graph6", "score_lo", "score_hi", "N", "candidates", "sparse_candidates"])
-    lo, hi = result.enclosure
-    writer.writerow(
-        [to_graph6(result.graph), lo, hi, result.copies, result.candidates, result.sparse_candidates]
-    )
-    return doc, buf.getvalue()
+    return doc, lambda: _sweep_csv(result)
 
 
 # -- parser ------------------------------------------------------------------
@@ -672,13 +695,7 @@ def _add_common(p, graph=False, pattern=False, n=False, q=False, threads=False,
     p.add_argument("--out", default=None, help="write the report to this path instead of stdout")
 
 
-def build_parser() -> _Parser:
-    # the import-layer note is for readers of the source, not of --help
-    description = __doc__.partition("\nImport layers:")[0]
-    parser = _Parser(prog="kklab", description=description, add_help=True)
-    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
-
-    p = sub.add_parser("count", help="exact copy and embedding counts")
+def _args_count(p):
     p.add_argument("--family", choices=("clique", "cycle", "xy-path"), default=None)
     p.add_argument("--param", type=int, default=None,
                    help="family size: clique order, cycle length, or path edge count")
@@ -688,25 +705,30 @@ def build_parser() -> _Parser:
     _add_common(p, graph=True, pattern=True, threads=True, node_budget=True)
     p.set_defaults(handler=_cmd_count)
 
-    p = sub.add_parser("gamma", help="max x-y path count over endpoint pairs")
+
+def _args_gamma(p):
     p.add_argument("--length", type=int, required=True, help="path length in edges")
     _add_common(p, graph=True, node_budget=True)
     p.set_defaults(handler=_cmd_gamma)
 
-    p = sub.add_parser("pack", help="edge-disjoint packing number")
+
+def _args_pack(p):
     p.add_argument("--mode", choices=("exact", "greedy"), default="exact")
     _add_common(p, graph=True, pattern="required", node_budget=True, copy_cap=True)
     p.set_defaults(handler=_cmd_pack)
 
-    p = sub.add_parser("density", help="max subgraph density e(U)/|U| with witness")
+
+def _args_density(p):
     _add_common(p, graph=True)
     p.set_defaults(handler=_cmd_density)
 
-    p = sub.add_parser("aut", help="automorphism group order")
+
+def _args_aut(p):
     _add_common(p, graph=True)
     p.set_defaults(handler=_cmd_aut)
 
-    p = sub.add_parser("qmin", help="least q at which the graph is q-sparse")
+
+def _args_qmin(p):
     p.add_argument("--mode", choices=("exact", "heuristic"), default="exact",
                    help="heuristic scans connected classes only and flags a lower bound")
     p.add_argument("--heuristic-vertex-cap", type=int, default=DEFAULT_HEURISTIC_VERTEX_CAP,
@@ -714,15 +736,18 @@ def build_parser() -> _Parser:
     _add_common(p, graph=True, n=True, threads=True, precision=True, edge_cap=True)
     p.set_defaults(handler=_cmd_qmin)
 
-    p = sub.add_parser("pe", help="expectation threshold p_E (subgraph expectations >= 1/2)")
+
+def _args_pe(p):
     _add_common(p, graph=True, n=True, threads=True, precision=True, edge_cap=True)
     p.set_defaults(handler=_cmd_pe)
 
-    p = sub.add_parser("sparse-check", help="q-sparseness verdict with violating witness")
+
+def _args_sparse_check(p):
     _add_common(p, graph=True, n=True, q="required", precision=True, edge_cap=True)
     p.set_defaults(handler=_cmd_sparse_check)
 
-    p = sub.add_parser("expect", help="expected copy count at p, or at L*q")
+
+def _args_expect(p):
     p.add_argument("--p", type=_exact_value, default=None,
                    help="probability; exclusive with --q/--L")
     p.add_argument("--L", type=_rational, default=None,
@@ -730,26 +755,27 @@ def build_parser() -> _Parser:
     _add_common(p, pattern="required", n=True, q=True, precision=True)
     p.set_defaults(handler=_cmd_expect)
 
-    p = sub.add_parser("required-l", help="least L with N(H,F) = E_{Lq}X_F")
+
+def _args_required_l(p):
     _add_common(p, graph=True, pattern="required", n=True, q="required",
                 threads=True, precision=True, node_budget=True)
     p.set_defaults(handler=_cmd_required_l)
 
-    p = sub.add_parser("verify", help="machine-checked propositions")
-    vsub = p.add_subparsers(dest="mode", required=True, parser_class=_Parser)
 
-    vp = vsub.add_parser("props", help="structure bounds for a q-sparse host (plus packing with --pattern)")
+def _args_verify_props(vp):
     _add_common(vp, graph=True, pattern=True, n=True, q="required",
                 node_budget=True, copy_cap=True)
     vp.set_defaults(handler=_cmd_verify_props)
 
-    vp = vsub.add_parser("fit", help="fit-class partition identity for a tree pattern")
+
+def _args_verify_fit(vp):
     vp.add_argument("--eps", type=_rational, required=True)
     vp.add_argument("--d", type=_rational, required=True)
     _add_common(vp, graph=True, pattern="required", threads=True, node_budget=True)
     vp.set_defaults(handler=_cmd_verify_fit)
 
-    vp = vsub.add_parser("legal", help="legal degree-sequence count against the binomial bound")
+
+def _args_verify_legal(vp):
     vp.add_argument("--f", type=_int_list, required=True,
                     help="comma list of previous-round degree values, e.g. 1,1,0")
     vp.add_argument("--eps", type=_rational, required=True)
@@ -759,13 +785,31 @@ def build_parser() -> _Parser:
     _add_common(vp)
     vp.set_defaults(handler=_cmd_verify_legal)
 
-    vp = vsub.add_parser("main", help="strict inequality N(H,F) < L^{e_F} E_qX_F")
+
+def _args_verify_main(vp):
     vp.add_argument("--L", type=_rational, required=True)
     _add_common(vp, graph=True, pattern="required", n=True, q="required",
                 threads=True, node_budget=True)
     vp.set_defaults(handler=_cmd_verify_main)
 
-    p = sub.add_parser("peel", help="iterated low-copy-degree vertex deletion")
+
+# verify's modes: name -> (help, argument builder)
+_VERIFY_MODES = {
+    "props": ("structure bounds for a q-sparse host (plus packing with --pattern)",
+              _args_verify_props),
+    "fit": ("fit-class partition identity for a tree pattern", _args_verify_fit),
+    "legal": ("legal degree-sequence count against the binomial bound", _args_verify_legal),
+    "main": ("strict inequality N(H,F) < L^{e_F} E_qX_F", _args_verify_main),
+}
+
+
+def _args_verify(p):
+    vsub = p.add_subparsers(dest="mode", required=True, parser_class=_Parser)
+    for mode, (help_text, add_args) in _VERIFY_MODES.items():
+        add_args(vsub.add_parser(mode, help=help_text))
+
+
+def _args_peel(p):
     p.add_argument("--a", type=_rational, required=True, help="copy-degree threshold")
     p.add_argument("--seed", type=int, default=None,
                    help="randomize deletion order (survivors are order-independent)")
@@ -773,12 +817,14 @@ def build_parser() -> _Parser:
                 copy_cap=True)
     p.set_defaults(handler=_cmd_peel)
 
-    p = sub.add_parser("ellhat", help="largest l with (nq)^l below n^(1-delta*c)")
+
+def _args_ellhat(p):
     p.add_argument("--delta", type=_rational, required=True)
     _add_common(p, n=True, q="required")
     p.set_defaults(handler=_cmd_ellhat)
 
-    p = sub.add_parser("pc", help="Monte Carlo threshold estimate by bisection")
+
+def _args_pc(p):
     p.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
     p.add_argument("--tol", type=_rational, default=DEFAULT_TOLERANCE,
                    help="bisection stops once the bracket is this narrow")
@@ -786,7 +832,8 @@ def build_parser() -> _Parser:
     _add_common(p, pattern="required", n=True, threads=True, seed=0)
     p.set_defaults(handler=_cmd_pc)
 
-    p = sub.add_parser("gen", help="certified q-sparse instance generators")
+
+def _args_gen(p):
     p.add_argument("--family", choices=GENERATOR_FAMILIES, required=True)
     p.add_argument("--vertices", type=int, default=None, help="gnp-repair / path-power order")
     p.add_argument("--boost", type=_rational, default=None, help="gnp-repair initial density multiplier")
@@ -801,7 +848,8 @@ def build_parser() -> _Parser:
     _add_common(p, n=True, q="required", threads=True, precision=True, seed=0)
     p.set_defaults(handler=_cmd_gen)
 
-    p = sub.add_parser("search", help="simulated-annealing hunt for copy-rich sparse hosts")
+
+def _args_search(p):
     p.add_argument("--budget", type=int, required=True, help="proposed moves per chain")
     p.add_argument("--chains", type=int, default=1)
     p.add_argument("--host-cap", type=int, default=None,
@@ -812,14 +860,57 @@ def build_parser() -> _Parser:
                 precision=True, edge_cap=True, seed=0)
     p.set_defaults(handler=_cmd_search)
 
-    p = sub.add_parser("sweep", help="exact maximizer over all small sparse hosts")
+
+def _args_sweep(p):
     p.add_argument("--v-cap", type=int, default=6,
                    help=f"catalog order ceiling (at most {SWEEP_VERTEX_CAP})")
     _add_common(p, pattern="required", n=True, q="required", threads=True,
                 precision=True, edge_cap=True)
     p.set_defaults(handler=_cmd_sweep)
 
+
+# the subcommands in --help order: name -> (help, argument builder)
+_SUBCOMMANDS = {
+    "count": ("exact copy and embedding counts", _args_count),
+    "gamma": ("max x-y path count over endpoint pairs", _args_gamma),
+    "pack": ("edge-disjoint packing number", _args_pack),
+    "density": ("max subgraph density e(U)/|U| with witness", _args_density),
+    "aut": ("automorphism group order", _args_aut),
+    "qmin": ("least q at which the graph is q-sparse", _args_qmin),
+    "pe": ("expectation threshold p_E (subgraph expectations >= 1/2)", _args_pe),
+    "sparse-check": ("q-sparseness verdict with violating witness", _args_sparse_check),
+    "expect": ("expected copy count at p, or at L*q", _args_expect),
+    "required-l": ("least L with N(H,F) = E_{Lq}X_F", _args_required_l),
+    "verify": ("machine-checked propositions", _args_verify),
+    "peel": ("iterated low-copy-degree vertex deletion", _args_peel),
+    "ellhat": ("largest l with (nq)^l below n^(1-delta*c)", _args_ellhat),
+    "pc": ("Monte Carlo threshold estimate by bisection", _args_pc),
+    "gen": ("certified q-sparse instance generators", _args_gen),
+    "search": ("simulated-annealing hunt for copy-rich sparse hosts", _args_search),
+    "sweep": ("exact maximizer over all small sparse hosts", _args_sweep),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The kklab parser, with every subcommand, or with only ``command``'s
+    subparser when it names one.  Building a subparser costs a terminal-size
+    query per argument, so ``main`` builds the one it runs."""
+    # the import-layer note is for readers of the source, not of --help
+    description = __doc__.partition("\nImport layers:")[0]
+    parser = _Parser(prog="kklab", description=description, add_help=True)
+    sub = parser.add_subparsers(dest="subcommand", required=True, parser_class=_Parser)
+    names = (command,) if command in _SUBCOMMANDS else _SUBCOMMANDS
+    for name in names:
+        help_text, add_args = _SUBCOMMANDS[name]
+        add_args(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parser_for(argv: list) -> _Parser:
+    """The parser ``main`` runs on argv: one subcommand's when argv starts
+    with a subcommand name, else the full parser, whose help, usage and
+    unknown-command error list every subcommand."""
+    return build_parser(argv[0] if argv else None)
 
 
 # -- entry points ------------------------------------------------------------
@@ -829,9 +920,9 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _inject_config(argv)
-        args = build_parser().parse_args(argv)
-        doc, csv_text = args.handler(args)
-        _emit(args, doc, csv_text)
+        args = _parser_for(argv).parse_args(argv)
+        doc, csv_table = args.handler(args)
+        _emit(args, doc, csv_table)
         return 0
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -30,7 +30,8 @@ scans use three tiers, cheapest first:
    s = (degree, sorted neighbour degrees), built by ``_signature_key``
    only for the subsets that sym does not settle.  Automorphisms preserve
    signatures too (one round of colour refinement), and signature classes
-   split degree classes, so aut <= sig <= sym.
+   split degree classes, so aut <= sig <= sym.  The subset's profile
+   (``_subset_profile``) is built once here and handed on to tier 3.
 3. aut, an automorphism count, only for the subsets that neither cap
    settles.  Each scan memoizes it in a dict of its own: one per call of
    a class scan (full table, pruned or heuristic), and one, bounded, per
@@ -47,10 +48,11 @@ expectation is below 1 at one (n, q); a subset can violate only if
 (n)_v/cap * q^e < 1 for both caps, and the cap tests and exact class
 verdicts share one cache keyed by (v, e, cap).  The full edge set and the
 densest part (``_seed_masks``) seed the pruned path's bound and the cheap
-disproof of sparsity.  ``_VerdictMemo`` is also the one q-sparsity
-certificate: the crude count bound, the cheap disproof and the subset
-walk, in that order, with the edge-cap refusal in place of the walk (and,
-at most 15 edges, of the disproof too).  Each caller asks it once per
+disproof of sparsity, which finds the densest part only when the full edge
+set passes.  ``_VerdictMemo`` is also the one q-sparsity certificate: the
+crude count bound, the cheap disproof and the subset walk, in that order,
+with the edge-cap refusal in place of the walk (and, at most 15 edges, of
+the disproof too).  Each caller asks it once per
 host: ``required_L`` certifies before counting, and the search engines
 score the hosts they certified from the copies they counted.
 """
@@ -213,15 +215,22 @@ def _subset_profile(H: Graph, mask: int):
     return sub, vm, sums
 
 
-def _signature_key(H: Graph, mask: int) -> tuple:
-    """(v, e, sig) of one edge subset of H, where sig = prod_s m_s! and m_s
-    counts the spanned vertices with signature s = (degree, sorted
-    neighbour degrees), kept as in ``_subset_profile``.
+def _profile_of(H: Graph, subset):
+    """An edge subset of H given as a mask or as its ``_subset_profile``,
+    as its profile: a caller that profiled a subset hands the profile on
+    rather than having it built twice."""
+    return subset if isinstance(subset, tuple) else _subset_profile(H, subset)
+
+
+def _signature_key(H: Graph, subset) -> tuple:
+    """(v, e, sig) of one edge subset of H (a mask or its profile), where
+    sig = prod_s m_s! and m_s counts the spanned vertices with signature
+    s = (degree, sorted neighbour degrees), kept as in ``_subset_profile``.
 
     Automorphisms preserve signatures (one round of colour refinement), so
     aut <= sig, and signature classes split degree classes, so sig <= sym.
     """
-    sub, vm, sums = _subset_profile(H, mask)
+    sub, vm, sums = _profile_of(H, subset)
     sizes: dict = {}
     sig = 1
     for s in sums:
@@ -231,8 +240,9 @@ def _signature_key(H: Graph, mask: int) -> tuple:
     return vm.bit_count(), len(sub), sig
 
 
-def _class_of_mask(H: Graph, mask: int, auts: dict):
-    """((v, e, aut), edge tuple) of one edge subset of H.
+def _class_of_mask(H: Graph, subset, auts: dict):
+    """((v, e, aut), edge tuple) of one edge subset of H (a mask or its
+    profile).
 
     auts memoizes the automorphism counts under the subset relabeled in
     signature order: the spanned vertices sorted by signature, ties broken
@@ -242,7 +252,7 @@ def _class_of_mask(H: Graph, mask: int, auts: dict):
     signature classes line up share one entry, so a scan counts each
     isomorphism class about once rather than once per vertex labelling.
     """
-    sub, vm, sums = _subset_profile(H, mask)
+    sub, vm, sums = _profile_of(H, subset)
     v = vm.bit_count()
     # the H.n - v unspanned vertices (signature 0) sort first; sorted is
     # stable, so ties keep vertex-id order
@@ -285,18 +295,21 @@ def scan_subgraph_classes(H: Graph) -> dict:
 FULL_TABLE_EDGE_CAP = 14
 
 
-def _seed_masks(H: Graph) -> tuple:
-    """Edge masks of H's full edge set and of its densest part.
+def _seed_masks(H: Graph):
+    """Yield the edge masks of H's full edge set and of its densest part.
 
     Both are nonempty when H has an edge; they seed the pruned scan's
-    starting bound and the cheap disproof of sparsity.
+    starting bound and the cheap disproof of sparsity.  The densest part
+    costs a max-flow search, so it is found only when it is asked for:
+    the disproof stops at the full edge set whenever that set violates.
     """
+    yield (1 << H.edge_count) - 1
     wset = set(max_density(H).witness)
     dense = 0
     for i, (a, b) in enumerate(H.edges):
         if a in wset and b in wset:
             dense |= 1 << i
-    return (1 << H.edge_count) - 1, dense
+    yield dense
 
 
 _PRUNED_MEMBER_CAP = 400_000
@@ -361,8 +374,9 @@ def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
         )
     classes: dict = {}
     for mask in kept:
-        if reaches_start(_signature_key(H, mask)):
-            _add_class(classes, *_class_of_mask(H, mask, auts))
+        profile = _subset_profile(H, mask)
+        if reaches_start(_signature_key(H, profile)):
+            _add_class(classes, *_class_of_mask(H, profile, auts))
     return {key: row for key, row in classes.items() if reaches_start(key)}
 
 
@@ -704,7 +718,8 @@ class _VerdictMemo:
 
     def seeds_violate(self, H: Graph) -> bool:
         """The quick disproof: does H's full edge set or its densest part
-        have expectation below 1?"""
+        have expectation below 1?  The densest part is found only when the
+        full edge set passes."""
         return any(self.violation(H, mask) for mask in _seed_masks(H))
 
     def below_one(self, v: int, e: int, cap: int):
@@ -720,12 +735,12 @@ class _VerdictMemo:
             self.verdicts[key] = hit
         return hit
 
-    def violation(self, H: Graph, mask: int):
-        """(expectation, edge tuple) when this edge subset of H has
-        expectation below 1, else None."""
+    def violation(self, H: Graph, subset):
+        """(expectation, edge tuple) when this edge subset of H (a mask or
+        its profile) has expectation below 1, else None."""
         if len(self.auts) >= _AUT_MEMO_CAP:
             self.auts.clear()
-        key, tup = _class_of_mask(H, mask, self.auts)
+        key, tup = _class_of_mask(H, subset, self.auts)
         expectation = self.below_one(*key)
         return None if expectation is False else (expectation, tup)
 
@@ -737,14 +752,12 @@ class _VerdictMemo:
         for mask, v, e, sym in _gray_steps(H):
             # the walker's (v, e, sym) settles most subsets before any
             # extraction, and the signature cap most of the rest
-            if (
-                mask & req_bit == req_bit
-                and self.below_one(v, e, sym) is not False
-                and self.below_one(*_signature_key(H, mask)) is not False
-            ):
-                hit = self.violation(H, mask)
-                if hit is not None:
-                    yield hit
+            if mask & req_bit == req_bit and self.below_one(v, e, sym) is not False:
+                profile = _subset_profile(H, mask)
+                if self.below_one(*_signature_key(H, profile)) is not False:
+                    hit = self.violation(H, profile)
+                    if hit is not None:
+                        yield hit
 
 
 def _violation_cmp(a: tuple, b: tuple) -> int:

@@ -23,11 +23,15 @@ top byte is rejected, and repeats until every pair has its accepted byte.
 It never draws a word the per-pair loop would not, so the pairs kept and
 the generator's end state are the same.  Subclasses (whose ``randrange``
 may not run on ``getrandbits``) and den >= 256 draw per pair.
+
+Import layers: this module loads ``util``, ``graphs``, ``counting`` and
+``exact``.  The generators import ``expectation`` (for ``is_q_sparse``)
+when they run, and ``trace_csv`` imports ``csv``, so ``kklab pc`` starts
+up without the subset-scan layer or the CSV writer.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import io
 import math
@@ -40,7 +44,6 @@ from statistics import NormalDist
 
 from .counting import ResourceGuardError, contains
 from .exact import Root, format_fraction, value_cmp, value_mul
-from .expectation import is_q_sparse
 from .graphs import (
     Graph,
     complete_graph,
@@ -224,6 +227,8 @@ class EstimateResult:
         }
 
     def trace_csv(self) -> str:
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["probe", "p", "successes", "trials", "wilson_low", "wilson_high"])
@@ -287,6 +292,8 @@ def estimate_pc(plan: TrialPlan, threads: int = 1) -> EstimateResult:
 
 
 def _reject_if_dense(h: Graph, n: int, q, family: str) -> Graph:
+    from .expectation import is_q_sparse
+
     check = is_q_sparse(h, n, q)
     if not check.sparse:
         raise PreconditionError(
@@ -308,6 +315,8 @@ def _repair_edge(g: Graph, witness_edges: tuple) -> tuple:
 
 
 def _gnp_repair(n: int, q, rng: random.Random, params: dict, repair_budget) -> Graph:
+    from .expectation import is_q_sparse
+
     # 7 vertices keep even a complete sample inside the exact-scan edge cap
     nv = int(params.get("vertices", min(n, 7)))
     if not 1 <= nv <= n:

@@ -1,6 +1,7 @@
 """Command line behavior: reports, exit codes, config files, determinism."""
 
 import argparse
+import contextlib
 import hashlib
 import importlib
 import io
@@ -481,7 +482,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("kklab."))]))
 """
 
-BASE_LAYERS = {"kklab.cli", "kklab.util", "kklab.exact", "kklab.graphs", "kklab.counting"}
+# the stdlib modules a graph-level command has no use for, if it loads them
+_STDLIB_LOADED_BY = """
+import contextlib, io, json, sys
+from kklab.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps([code, sorted({"dataclasses", "csv"} & set(sys.modules))]))
+"""
+
+BASE_LAYERS = {"kklab.cli", "kklab.util", "kklab.graphs", "kklab.counting"}
 
 
 def fresh_python(code: str, *args) -> str:
@@ -510,17 +520,35 @@ class TestImportBoundaries:
             (["aut", "--graph", "K2"], set()),
             (["count", "--graph", "K5", "--pattern", "K3"], set()),
             (["pack", "--graph", "K4", "--pattern", "P2"], set()),
-            (["sparse-check", "--graph", "K3", "--n", "10", "--q", "1/10"], {"kklab.expectation"}),
-            (["qmin", "--graph", "K3", "--n", "10"], {"kklab.expectation"}),
-            (["pe", "--graph", "K3", "--n", "10"], {"kklab.expectation"}),
+            (["sparse-check", "--graph", "K3", "--n", "10", "--q", "1/10"],
+             {"kklab.exact", "kklab.expectation"}),
+            (["qmin", "--graph", "K3", "--n", "10"], {"kklab.exact", "kklab.expectation"}),
+            (["pe", "--graph", "K3", "--n", "10"], {"kklab.exact", "kklab.expectation"}),
+            (["pc", "--pattern", "K3", "--n", "8", "--trials", "20"],
+             {"kklab.exact", "kklab.montecarlo"}),
         ],
-        ids=["aut", "count", "pack", "sparse-check", "qmin", "pe"],
+        ids=["aut", "count", "pack", "sparse-check", "qmin", "pe", "pc"],
     )
     def test_command_loads_only_its_layers(self, argv, upper):
         code, loaded = json.loads(fresh_python(_LOADED_BY, json.dumps(argv)))
         assert code == 0
         assert set(loaded) == BASE_LAYERS | upper
-        assert not set(loaded) & {"kklab.search", "kklab.montecarlo", "kklab.verifier", "kklab.catalog"}
+        assert not (set(loaded) - upper) & {
+            "kklab.search", "kklab.montecarlo", "kklab.verifier", "kklab.catalog"
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["aut", "--graph", "K2"],
+            ["count", "--graph", "K5", "--pattern", "K3"],
+            ["pack", "--graph", "K4", "--pattern", "P2"],
+        ],
+        ids=["aut", "count", "pack"],
+    )
+    def test_graph_level_commands_load_no_dataclasses_or_csv(self, argv):
+        code, loaded = json.loads(fresh_python(_STDLIB_LOADED_BY, json.dumps(argv)))
+        assert code == 0 and loaded == []
 
 
 # -- the package's lazy exports --------------------------------------------------
@@ -616,30 +644,31 @@ class TestLazyExports:
 
 # -- the parser ----------------------------------------------------------------
 
-# sha256 of each subcommand's format_help() at COLUMNS=100 (argparse as in
-# Python 3.11); guards the defaults, choices and help texts the parser shows
+# sha256 of each subcommand's format_help() at COLUMNS=120, a width at which
+# argparse wraps the same on Python 3.10-3.13 (at 100, 3.13 keeps pc's
+# "--n N" on one line); guards the defaults, choices and help texts shown
 HELP_SHA256 = {
-    "count": "3f406b08ed356506927a41c581ef446f1e19941dbec45f9117d3e0d9372aa6a0",
-    "gamma": "8ec30ae0c5030f990b193f5762bc0e195841ebefb3b1362eeda4d486da8a58ee",
-    "pack": "05ae53e1c3d14b02150787734bc0bb4a9eaa3c7e541bdccd75c2827b95a0d841",
+    "count": "55b52c6c07e19041adffbf9af28805f24c1f00c75a8aaad04d6d5cadccf2f7e2",
+    "gamma": "073d37ff2c2de5d68776aeeb292b36e07c41bb09d0db611ded2418d90d64fff4",
+    "pack": "f39af43bf0f68c57119d2390a2abfbe8a4eea58aceea8852ef3e5af9580990aa",
     "density": "2d7450d3f2a73363ae0a80e8c331bd8e8c22c41ad371abac98b45b0c1615adcb",
     "aut": "2b7cf98570cdf5bfe9036e2f029a7dcf8ec3e21ade7d0626982753933e1c5a2b",
-    "qmin": "f71540a8bd8981ef33b25804d26802cab280a43bee1e5667c10e957955fad2d2",
-    "pe": "f566c33aeaa2f2283ad87344f36b82cabb5c5683cfebefc09e66943e5c40a058",
-    "sparse-check": "e727db3f538fa00ad30910ca4bd1f28d66c0cb9630cf6bfb48b02757479926f2",
-    "expect": "268fd50c679aa31efbbce6a3206d68cea925169e7b63720a575f4aa13a776026",
-    "required-l": "0abdef43c5b8d4a43c22365c2a5b003c2b389349bcd061dfbf0a3fe1bf4e2013",
+    "qmin": "667a4665ce1bf8ae941fdd047b7680d4777d7b66d995a9b1eacdb97b234fbb01",
+    "pe": "18871b76c4d374d53850eccb9f02b8b9adab0ea224135708bc841caaefc74e4a",
+    "sparse-check": "204c3398a74b89d5cad4c93219ba0f3575370d988fbdb917965f69d700fdcac9",
+    "expect": "1cc6442c3feef4ad6bde5bab9e54fac192796276c953f4f1f5706330417005dd",
+    "required-l": "0cb5e643db04d8bd85ca33ab753563bf9e467f59468e4a419bf34bdd0e5305d1",
     "verify": "2ac2c17c6c006c646973ea9a2497d095b883529ccdf0c61ea3fe0661deb8780e",
-    "verify props": "a1130d3c586c930be863503ccaf4913dcb80993693189985edd2af841589c501",
-    "verify fit": "12f322ddceca2cf0188f63bac8275945433bb6bb27db236fab8559cc65d23f2b",
-    "verify legal": "eedbc76c0f9622e06396257cc844a65f5f32ff8cb9097a2d97eb774d16b7e519",
-    "verify main": "db1bdb9159e1cab69c6c1ac2eb7921fbddc4cc775fc5fcf0cd1cefab64b1e448",
-    "peel": "acb2eaba89f308def012e799f0cdfd9567717469f740be133d57fb554dfef22d",
-    "ellhat": "35a82fffbe9efe145bc008a5d653ec7d686a03db518855bb65d3176745e58af4",
-    "pc": "85ab60db628aa5412027399b541e56991181e35e2698eefcd4950fffb6df37d6",
-    "gen": "7e824528693648c0fb2881a2377e819bef30ab6629f289df0f58154260e244f0",
-    "search": "4db1421db72de1d11975245f79edecb6d72c71ef27ac32fd531b93f017122b67",
-    "sweep": "954be5e00383a8cdc3ad1714de01384075f5858edbf007b50d2e9dcbcee6237c",
+    "verify props": "d7cdb18dbc3658483908751af833b81572689900fe95d71960737e308ced2421",
+    "verify fit": "5f75e8d1b47f13e032e8f6ee983d208d7a5c926e391f9ce028a84c97b1eba3fb",
+    "verify legal": "96b231498a7122a9040b64e580acf5f33e3f6a45a32b5b585082d6e2fa75777a",
+    "verify main": "d7d8f49a84986cfda414dab64f0c9dccc66b3ba98ac631b6eed27c90371bf7df",
+    "peel": "02c438db295b5432c35df975a75e16194be9719affad3c83b38af70b6303532a",
+    "ellhat": "2111f6e4552e94db77137bc4db5b1d6a4de02702ec4b48d2ce8ab09d9e8a881a",
+    "pc": "a6979d2e10533d0b0ac603bdc1eff3074788ff8511f71f06d98276f5e951a2e8",
+    "gen": "f3bd9f4724c20c8650350f533585d433b91f0cb4df279075433a398acecbb668",
+    "search": "43a3ff9d70dcb23daadef3a6890cc95716984159e43611f3635404f64cc09765",
+    "sweep": "45da6361fc2ee7da10c9f6156d9256caf5ee236b144ee650dcbf1f336dc6b93d",
 }
 
 
@@ -652,7 +681,7 @@ def _subparsers(parser) -> dict:
 
 class TestParser:
     def test_help_is_pinned(self, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "100")
+        monkeypatch.setenv("COLUMNS", "120")
         digests = {}
         for name, sub in _subparsers(cli.build_parser()).items():
             digests[name] = hashlib.sha256(sub.format_help().encode()).hexdigest()
@@ -663,3 +692,117 @@ class TestParser:
     def test_edge_cap_refusal_exits_3(self, capsys):
         code, out, err = run(capsys, "qmin", "--graph", "K3", "--n", "10", "--edge-cap", "-1")
         assert code == 3 and out == "" and "resource guard" in err
+
+
+# one argv per perfbench job shape, the setup probe included
+_G = "g6:G@ttDg"
+PERFBENCH_ARGVS = [
+    ["aut", "--graph", "K2"],
+    ["qmin", "--graph", _G, "--n", "20"],
+    ["pe", "--graph", _G, "--n", "20"],
+    ["sparse-check", "--graph", _G, "--n", "20", "--q", "1/5"],
+    ["pc", "--pattern", "C4", "--n", "24", "--trials", "250", "--seed", "1804289383"],
+    ["sweep", "--pattern", "K3", "--n", "10", "--q", "root:120:3", "--v-cap", "7"],
+    ["search", "--pattern", "P3", "--n", "10", "--q", "root:120:3", "--budget", "400",
+     "--seed", "846930886", "--host-cap", "8"],
+    ["sparse-check", "--graph", "g6:DR{", "--n", "10", "--q", "root:120:3"],
+    ["count", "--graph", _G, "--family", "cycle", "--param", "5"],
+    ["count", "--graph", _G, "--pattern", "C5"],
+    ["count", "--graph", _G, "--pattern", "P3", "--labeled"],
+    ["verify", "fit", "--graph", _G, "--pattern", "P2", "--eps", "1", "--d", "3"],
+    ["gen", "--family", "gnp-repair", "--vertices", "6", "--n", "12", "--q", "1/4",
+     "--seed", "1681692777"],
+    ["verify", "props", "--graph", _G, "--n", "12", "--q", "1/4", "--pattern", "P2"],
+    ["pack", "--graph", _G, "--pattern", "P2"],
+]
+
+# usage errors (those above in this file and more), help, and no command
+USAGE_ARGVS = [
+    ["aut", "--graph", "K3", "--mystery"],
+    ["frobnicate"],
+    ["sparse-check", "--graph", "K3", "--n", "10", "--q", "root:120"],
+    ["qmin", "--graph", "K3", "--n", "10", "--precision", "3"],
+    ["aut"],
+    ["aut", "--graph"],
+    ["aut", "--gr", "K2"],
+    ["pack", "--graph", "K4"],
+    ["count", "--graph", "K4", "--family", "star"],
+    ["pc", "--pattern", "K3", "--n", "x"],
+    ["verify"],
+    ["verify", "bogus"],
+    ["verify", "legal", "--f", "1,x", "--eps", "1", "--d", "3", "--D", "2", "--d-cap", "1"],
+    ["--graph", "K2", "aut"],
+    [],
+    ["-h"],
+    ["--help"],
+    ["aut", "-h"],
+    ["verify", "-h"],
+    ["verify", "fit", "--help"],
+]
+
+
+def parse_outcome(parser, argv):
+    """What parsing argv gives: the namespace, the usage error, or the exit
+    code with what was printed before it."""
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        try:
+            return "namespace", vars(parser.parse_args(argv))
+        except cli._InputError as exc:
+            return "error", str(exc)
+        except SystemExit as exc:
+            return "exit", exc.code, printed.getvalue()
+
+
+def main_outcome(argv):
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed), contextlib.redirect_stderr(printed):
+        try:
+            return main(list(argv)), printed.getvalue()
+        except SystemExit as exc:
+            return f"exit {exc.code}", printed.getvalue()
+
+
+class TestOneSubcommandParser:
+    """main builds only the subparser of the command it runs; what it parses
+    and prints is what the full parser would."""
+
+    @pytest.fixture(autouse=True)
+    def _columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "120")
+
+    def test_every_parser_formats_the_same_help(self):
+        full = _subparsers(cli.build_parser())
+        assert len(full) == 17
+        seen = 0
+        for name, sub in full.items():
+            one = _subparsers(cli._parser_for([name]))
+            assert list(one) == [name]
+            assert one[name].format_help() == sub.format_help(), name
+            seen += 1
+            for mode, vsub in _subparsers(sub).items():
+                assert _subparsers(one[name])[mode].format_help() == vsub.format_help()
+                seen += 1
+        assert seen == 21
+
+    @pytest.mark.parametrize("argv", PERFBENCH_ARGVS + USAGE_ARGVS, ids=" ".join)
+    def test_same_outcome_as_the_full_parser(self, argv):
+        assert parse_outcome(cli._parser_for(argv), argv) == parse_outcome(cli.build_parser(), argv)
+
+    @pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+    def test_main_prints_and_exits_as_with_the_full_parser(self, monkeypatch, argv):
+        got = main_outcome(argv)
+        monkeypatch.setattr(cli, "_parser_for", lambda argv: cli.build_parser())
+        assert got == main_outcome(argv)
+
+    def test_main_builds_one_subparser(self, monkeypatch, capsys):
+        built = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def counted(self, name, **kwargs):
+            built.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+        assert run(capsys, "aut", "--graph", "K2")[:2] == (0, '{\n  "schema": "kklab/1",\n  "aut": "2"\n}\n')
+        assert built == ["aut"]

@@ -1,7 +1,10 @@
 """Graph core: parsing, constructors, density, automorphisms, canonical forms."""
 
+import copy
+import dataclasses
 import hashlib
 import math
+import pickle
 from fractions import Fraction
 from itertools import permutations
 
@@ -10,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import kklab.graphs
 from kklab import (
+    DensityValue,
     Graph,
     GraphParseError,
     automorphism_count,
@@ -228,6 +232,50 @@ class TestDensity:
         assert Fraction(flow.numerator, flow.denominator) == Fraction(
             brute.numerator, brute.denominator
         )
+
+
+@dataclasses.dataclass(frozen=True)
+class FrozenDensity:
+    """The frozen dataclass DensityValue used to be, as a reference."""
+
+    numerator: int
+    denominator: int
+    witness: tuple
+
+
+class TestDensityValue:
+    """A hand-written immutable value: the constructor, refusal, equality,
+    hash and repr a frozen dataclass would give it."""
+
+    VALUES = [(1, 2, (0, 1)), (3, 2, (0, 1, 2, 3)), (0, 1, (0,)), (7, 5, (4, 2, 9, 1, 0))]
+
+    def test_matches_the_frozen_dataclass(self):
+        for fields in self.VALUES:
+            value, ref = DensityValue(*fields), FrozenDensity(*fields)
+            assert repr(value) == repr(ref).replace("FrozenDensity", "DensityValue")
+            assert hash(value) == hash(ref)
+            assert value == DensityValue(
+                numerator=fields[0], denominator=fields[1], witness=fields[2]
+            )
+            assert value.value == Fraction(fields[0], fields[1])
+            for other in self.VALUES:
+                assert (value == DensityValue(*other)) == (ref == FrozenDensity(*other))
+            assert value != ref and value != fields
+
+    @pytest.mark.parametrize("fields", [(1, 0, (0,)), (1, 2, ()), (0, -1, (0,))])
+    def test_refusal(self, fields):
+        with pytest.raises(ValueError, match="^density witness must be nonempty$"):
+            DensityValue(*fields)
+
+    def test_immutable_and_copyable(self):
+        value = DensityValue(1, 2, (0, 1))
+        for name in ("numerator", "witness", "other"):
+            with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+                setattr(value, name, 3)
+        with pytest.raises(AttributeError, match="cannot delete field 'numerator'"):
+            del value.numerator
+        assert pickle.loads(pickle.dumps(value)) == value
+        assert copy.deepcopy(value) == value and copy.copy(value) == value
 
 
 class TestAutomorphisms:

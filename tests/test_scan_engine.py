@@ -2,7 +2,7 @@
 violation scan, certified_sparse on big hosts, hosts with tied
 signatures, heuristic mode, the walker's degree-symmetry bound, the
 signature bound, the aut memo key, the pruned table against the full one,
-and how many subsets the scans classify and how many auts they count."""
+and how many subsets the scans classify, profile and count auts for."""
 
 import math
 import random
@@ -527,6 +527,45 @@ class TestClassifiedSubsets:
         extremal_search(10, q, complete_graph(3), 400, 3, host_cap=8)
         # the sym cap alone leaves 10,399 subsets, the sig cap 1,641
         assert calls[0] <= 2500
+
+
+def count_profiles(monkeypatch) -> tuple:
+    """Count the subset profiles built and the signature keys taken."""
+    builds, sigs = [0], [0]
+    profile, signature = expectation._subset_profile, expectation._signature_key
+
+    def built(*args):
+        builds[0] += 1
+        return profile(*args)
+
+    def keyed(*args):
+        sigs[0] += 1
+        return signature(*args)
+
+    monkeypatch.setattr(expectation, "_subset_profile", built)
+    monkeypatch.setattr(expectation, "_signature_key", keyed)
+    return builds, sigs
+
+
+class TestProfileOnce:
+    """A subset the signature tier profiled is classified from that
+    profile; only the seed masks, classified without a signature step,
+    are profiled by the class step."""
+
+    def test_pruned_petersen(self, monkeypatch):
+        builds, sigs = count_profiles(monkeypatch)
+        q_min(petersen_graph(), 10)
+        # 2,750 signature keys plus the three seed masks; 2,893 builds
+        # when the class step profiled each of its 143 subsets anew
+        assert (builds[0], sigs[0]) == (2753, 2750)
+
+    def test_triangle_anneal(self, monkeypatch):
+        builds, sigs = count_profiles(monkeypatch)
+        q = make_value(Fraction(1, 120), 3)
+        extremal_search(10, q, complete_graph(3), 400, 3, host_cap=8)
+        # 10,399 signature keys plus the seed masks; 12,044 builds when
+        # the class step profiled each of its 1,645 subsets anew
+        assert sigs[0] == 10_399 and builds[0] <= sigs[0] + 10
 
 
 def count_auts(monkeypatch) -> list:

@@ -237,6 +237,23 @@ class TestSparseLevels:
         assert result.sparse_candidates == 186
         assert (len(walks), steps[0]) == (154, 10_511)
 
+    def test_densest_part_only_when_the_full_set_passes(self, monkeypatch):
+        # the full edge set alone rejects most classes, so the disproof runs
+        # the max-flow search for the densest part only on the rest
+        q = q_min(complete_graph(3), 10).threshold
+        flows = []
+        real = expectation.max_density
+
+        def counted(H):
+            flows.append(H)
+            return real(H)
+
+        monkeypatch.setattr(expectation, "max_density", counted)
+        result = exhaustive_sweep(10, q, complete_graph(3), v_cap=7)
+        assert result.sparse_candidates == 186
+        # 763 when the densest part was found before the full set was tested
+        assert len(flows) == 176
+
     def test_candidates_come_from_the_count_table(self):
         assert catalog._GRAPH_COUNTS[:7] == tuple(len(graphs_on(v)) for v in range(1, 8))
         q = q_min(complete_graph(3), 10).threshold

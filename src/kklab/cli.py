@@ -69,8 +69,10 @@ from .graphs import (
 from .util import (
     DEFAULT_CONFIDENCE,
     DEFAULT_COOLING,
+    DEFAULT_DIGITS,
     DEFAULT_EDGE_CAP,
     DEFAULT_HEURISTIC_VERTEX_CAP,
+    DEFAULT_SWEEP_V_CAP,
     DEFAULT_TOLERANCE,
     DEFAULT_TOP_K,
     DEFAULT_TRIALS,
@@ -675,7 +677,7 @@ def _add_common(p, graph=False, pattern=False, n=False, q=False, threads=False,
         p.add_argument("--threads", type=int, default=1,
                        help="accepted for compatibility; kklab runs serially")
     if precision:
-        p.add_argument("--precision", type=_precision, default=12,
+        p.add_argument("--precision", type=_precision, default=DEFAULT_DIGITS,
                        help="decimal digits in enclosures (minimum 4)")
     if node_budget:
         p.add_argument("--node-budget", type=int, default=None,
@@ -862,7 +864,7 @@ def _args_search(p):
 
 
 def _args_sweep(p):
-    p.add_argument("--v-cap", type=int, default=6,
+    p.add_argument("--v-cap", type=int, default=DEFAULT_SWEEP_V_CAP,
                    help=f"catalog order ceiling (at most {SWEEP_VERTEX_CAP})")
     _add_common(p, pattern="required", n=True, q="required", threads=True,
                 precision=True, edge_cap=True)

@@ -167,8 +167,6 @@ def _run_embedding(host: Graph, pattern: Graph, budget, on_hit=None):
                 return True
         return False
 
-    if k == 0:
-        return 0
     walk(0, 0)
     return hits
 
@@ -250,8 +248,6 @@ def count_cliques(host: Graph, r: int, node_budget=None) -> int:
     """Number of r-cliques, by ascending-id recursion after degeneracy relabeling."""
     if r < 1:
         raise ValueError("clique order must be >= 1")
-    if r == 1:
-        return host.n
     if r > host.n:
         return 0
     order = degeneracy_order(host)

@@ -20,7 +20,7 @@ refinement always terminates with a strict verdict.
 import math
 from fractions import Fraction
 
-DEFAULT_DIGITS = 12
+from .util import DEFAULT_DIGITS  # re-exported from its old home
 
 Rat = int | Fraction
 

@@ -51,9 +51,9 @@ densest part (``_seed_masks``) seed the pruned path's bound and the cheap
 disproof of sparsity, which finds the densest part only when the full edge
 set passes.  ``_VerdictMemo`` is also the one q-sparsity certificate: the
 crude count bound, the cheap disproof and the subset walk, in that order,
-with the edge-cap refusal in place of the walk (and, at most 15 edges, of
-the disproof too).  Each caller asks it once per
-host: ``required_L`` certifies before counting, and the search engines
+with the edge-cap refusal in place of the walk, so a host past the cap is
+refused only when neither cheap test decides it.  Each caller asks it once
+per host: ``required_L`` certifies before counting, and the search engines
 score the hosts they certified from the copies they counted.
 """
 
@@ -61,6 +61,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
+from itertools import takewhile
 
 from .counting import count_copies
 from .exact import (
@@ -100,32 +101,10 @@ def expected_copies(n: int, p, J: Graph) -> ExactValue:
     if J.n > n:
         return Fraction(0)
     base = Fraction(math.perm(n, J.n), automorphism_count(J))
-    if J.edge_count == 0:
-        return base
     return value_mul(base, value_pow(p, J.edge_count))
 
 
 # -- subgraph class scan -----------------------------------------------------------
-
-def _normalize_subset(sub_edges, vmask: int):
-    """Relabel spanned vertices to 0..v-1; edge order is preserved."""
-    relabel = {}
-    nxt = 0
-    m = vmask
-    while m:
-        low = m & -m
-        relabel[low.bit_length() - 1] = nxt
-        nxt += 1
-        m ^= low
-    return tuple((relabel[a], relabel[b]) for a, b in sub_edges)
-
-
-def _subset_graph(tup) -> Graph:
-    """An edge tuple as a graph on its spanned vertices, relabeled 0..v-1."""
-    vm = 0
-    for a, b in tup:
-        vm |= (1 << a) | (1 << b)
-    return Graph(vm.bit_count(), list(_normalize_subset(tup, vm)))
 
 
 def _gray_steps(H: Graph):
@@ -430,24 +409,9 @@ def _build_report(
     lower_bound_only: bool = False,
     table_complete: bool = True,
 ) -> SparsityReport:
-    rows = []
-    for (v, e, aut), (count, tup) in sorted(classes.items()):
-        thr = _class_threshold(n, target_den, v, e, aut)
-        rows.append((thr, v, e, aut, count, tup))
-    best = rows[0]
-    tied = [best]
-    for row in rows[1:]:
-        c = value_cmp(row[0], best[0])
-        if c > 0:
-            best = row
-            tied = [row]
-        elif c == 0:
-            tied.append(row)
-    witness_tup = min(t[5] for t in tied)
-    bv, be, baut = next(
-        (t[1], t[2], t[3]) for t in tied if t[5] == witness_tup
-    )
-    pair = (target_den * (math.perm(n, bv) // baut), be)
+    """The report on a class table: rows by threshold descending, then by
+    (v, e, aut); the threshold is the first row's, and the witness is the
+    lex-min edge tuple among the rows that tie with it."""
 
     def row_cmp(a, b):
         c = value_cmp(a[0], b[0])
@@ -455,27 +419,38 @@ def _build_report(
             return -c
         return (a[1:4] > b[1:4]) - (a[1:4] < b[1:4])
 
-    table = []
-    for thr, v, e, aut, count, tup in sorted(rows, key=cmp_to_key(row_cmp)):
-        table.append(
-            ThresholdClass(
-                descriptor=to_graph6(_subset_graph(tup)),
-                v=v,
-                e=e,
-                aut=aut,
-                subsets=count,
-                threshold=thr,
-            )
+    rows = sorted(
+        (
+            (_class_threshold(n, target_den, v, e, aut), v, e, aut, count, tup)
+            for (v, e, aut), (count, tup) in classes.items()
+        ),
+        key=cmp_to_key(row_cmp),
+    )
+    best = rows[0][0]
+    _, bv, be, baut, _, witness_tup = min(
+        takewhile(lambda row: value_cmp(row[0], best) == 0, rows),
+        key=lambda row: row[5],
+    )
+    table = tuple(
+        ThresholdClass(
+            descriptor=to_graph6(Graph(H.n, tup).induced(sum(tup, ()))),
+            v=v,
+            e=e,
+            aut=aut,
+            subsets=count,
+            threshold=thr,
         )
+        for thr, v, e, aut, count, tup in rows
+    )
     return SparsityReport(
         n=n,
         target_den=target_den,
-        threshold=best[0],
-        base_pair=pair,
-        witness=_subset_graph(witness_tup),
+        threshold=best,
+        base_pair=(target_den * (math.perm(n, bv) // baut), be),
+        witness=Graph(H.n, witness_tup).induced(sum(witness_tup, ())),
         witness_edges=witness_tup,
-        classes=tuple(table),
-        enclosure=decimal_enclosure(best[0], digits),
+        classes=table,
+        enclosure=decimal_enclosure(best, digits),
         lower_bound_only=lower_bound_only,
         table_complete=table_complete,
     )
@@ -702,19 +677,19 @@ class _VerdictMemo:
     def certify(self, H: Graph, edge_cap: int) -> bool:
         """The q-sparsity verdict on H, cheapest test first: the crude count
         bound, the quick disproof on the seed masks, then the early-exit
-        subset scan.  Past edge_cap it refuses instead, unless H has more
-        than 15 edges and the disproof rejects it."""
+        subset scan.  Past edge_cap the scan is refused, so a host with more
+        edges is decided only when one of the first two tests decides it."""
         m = H.edge_count
         if self.crude_certifies(H):
             return True
+        if self.seeds_violate(H):
+            return False
         if m > edge_cap:
-            if m > 15 and self.seeds_violate(H):
-                return False
             raise EdgeCapError(
                 f"cannot certify {m} edges: exact scan capped at {edge_cap} and the "
                 "quick disproof found no violation"
             )
-        return not self.seeds_violate(H) and next(self.violations(H), None) is None
+        return next(self.violations(H), None) is None
 
     def seeds_violate(self, H: Graph) -> bool:
         """The quick disproof: does H's full edge set or its densest part
@@ -820,7 +795,7 @@ def is_q_sparse(H: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> Sparse
         sparse=False,
         n=n,
         q=q,
-        witness=_subset_graph(tup),
+        witness=Graph(H.n, tup).induced(sum(tup, ())),
         witness_edges=tup,
         expectation=worst,
     )

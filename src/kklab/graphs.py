@@ -696,8 +696,6 @@ def automorphism_count(g: Graph) -> int:
     """
     n = g.n
     adj = g.adj
-    if g.edge_count in (0, n * (n - 1) // 2):
-        return math.factorial(n)
     twin = _twin_classes(adj)
 
     def twin_cell(cell):
@@ -776,8 +774,6 @@ def automorphism_count(g: Graph) -> int:
 def _canonical_perm(g: Graph) -> list:
     """Permutation old->new minimizing the packed upper-triangle adjacency."""
     n = g.n
-    if n <= 1:
-        return list(range(n))
     colors = refine_colors(g)
     # positions are blocked by color class, classes in rank order
     class_of_pos = []

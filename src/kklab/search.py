@@ -31,6 +31,7 @@ from .montecarlo import _repair_edge, derive_rng
 from .util import (
     DEFAULT_COOLING,
     DEFAULT_EDGE_CAP,
+    DEFAULT_SWEEP_V_CAP,
     DEFAULT_TOP_K,
     SWEEP_VERTEX_CAP,
     EdgeCapError,  # re-exported from its old home
@@ -137,7 +138,7 @@ def exhaustive_sweep(
     n: int,
     q,
     F: Graph,
-    v_cap: int = 6,
+    v_cap: int = DEFAULT_SWEEP_V_CAP,
     threads: int = 1,
     edge_cap: int = DEFAULT_EDGE_CAP,
     digits: int = DEFAULT_DIGITS,

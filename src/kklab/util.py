@@ -2,14 +2,18 @@
 
 Besides bit iteration, this module holds the two refusal types every
 layer may raise (``PreconditionError`` and ``EdgeCapError``) and the
-defaults the CLI parser shows: the subset-scan caps of ``expectation``,
-the Monte Carlo defaults and generator families of ``montecarlo``, and
-the annealer and sweep limits of ``search``.  Those modules re-export
-them, so each name has one object wherever it is imported from, and
-building the parser imports none of those upper layers.
+defaults the CLI parser shows: the enclosure precision of ``exact``, the
+subset-scan caps of ``expectation``, the Monte Carlo defaults and
+generator families of ``montecarlo``, and the annealer and sweep limits
+of ``search``.  Those modules re-export them, so each name has one object
+wherever it is imported from, and building the parser imports none of
+those upper layers.
 """
 
 from fractions import Fraction
+
+# exact: decimal digits in enclosures
+DEFAULT_DIGITS = 12
 
 # expectation: exact subset scans
 DEFAULT_EDGE_CAP = 24
@@ -25,6 +29,7 @@ GENERATOR_FAMILIES = ("gnp-repair", "clique-union", "theta", "spider", "path-pow
 DEFAULT_TOP_K = 5
 DEFAULT_COOLING = 0.999
 SWEEP_VERTEX_CAP = 8
+DEFAULT_SWEEP_V_CAP = 6
 
 
 class PreconditionError(ValueError):

@@ -130,16 +130,9 @@ def verify_structure(H: Graph, n: int, q) -> list:
     )
 
     e_h = H.edge_count
-    if e_h == 0:
-        edge_log_ok = True
-    else:
-        bl = n.bit_length() - 1
-        if e_h < n * bl:
-            edge_log_ok = True
-        elif e_h >= n * (bl + 1):
-            edge_log_ok = False
-        else:
-            edge_log_ok = (1 << e_h) < n**n
+    # 2^e_h < n^n; the power is needed only for n*bl <= e_h < n*(bl + 1)
+    bl = n.bit_length() - 1
+    edge_log_ok = e_h == 0 or e_h < n * bl or (e_h < n * (bl + 1) and (1 << e_h) < n**n)
     reports.append(
         PropositionReport(
             prop_id="edge-count-log-bound",
@@ -542,8 +535,6 @@ def verify_main_inequality(
     L = Fraction(L)
     if L <= 0:
         raise PreconditionError("L must be positive")
-    if F.edge_count < 1:
-        raise PreconditionError("pattern must have at least one edge")
     req = required_L(H, F, n, q, node_budget=node_budget)
     rhs = value_mul(L**F.edge_count, req.expectation)
     verdict = value_cmp(Fraction(req.copies), rhs) < 0

@@ -395,6 +395,40 @@ class TestSeededOutputPins:
 
 
 
+# sha256 of the stdout of report commands whose handlers and CSV renderers
+# the other tests never run in-process: a pruned p_E table (15 edges), an
+# exact packing, and the search and sweep results as CSV
+REPORT_OUTPUTS = {
+    "pe-petersen": (
+        ("pe", "--graph", "petersen", "--n", "12"),
+        "acd314f781b9fc7e231d9bb9da01e7d8f13667085a2a8f494c7abbdbbc5490fe",
+    ),
+    "pack-petersen-P3": (
+        ("pack", "--graph", "petersen", "--pattern", "P3"),
+        "86b91409ca9d1a4265ae8ffe3941356053c391409aa55dba90f1b543bbca8c4b",
+    ),
+    "search-K3-csv": (
+        ("search", "--pattern", "K3", "--n", "10", "--q", "root:120:3",
+         "--host-cap", "8", "--budget", "400", "--seed", "3", "--format", "csv"),
+        "f91826d039ba4b1ba288af4a3aef544d6a6773510daa21e4c3529bd0762b6e19",
+    ),
+    "sweep-K3-csv": (
+        ("sweep", "--pattern", "K3", "--n", "10", "--q", "root:120:3", "--v-cap", "6",
+         "--format", "csv"),
+        "4e79ce66e26e04a026960daac05ba3d43c1715fa88e4496f34371546c8e91097",
+    ),
+}
+
+
+class TestReportOutputPins:
+    @pytest.mark.parametrize("name", sorted(REPORT_OUTPUTS))
+    def test_stdout_digest(self, capsys, name):
+        argv, want = REPORT_OUTPUTS[name]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == want
+
+
 # sha256 of the stdout of seeded G(n,p) sampling: the pc trace, a
 # gnp-repair sample at p0 = 1/2 (bulk word draws) and one at a Root p0
 SAMPLER_OUTPUTS = {
@@ -446,6 +480,15 @@ class TestRefusals:
             "--v-cap", "6", "--edge-cap", "3",
         )
         assert code == 3 and out == "" and "cannot certify 4 edges" in err
+
+    def test_sweep_past_the_edge_cap_on_hosts_the_disproof_decides(self, capsys):
+        # every extension past the cap of 2 violates on its full edge set,
+        # so none needs the scan the cap forbids
+        doc = run_json(
+            capsys, "sweep", "--pattern", "K2", "--n", "10", "--q", "1/20",
+            "--v-cap", "4", "--edge-cap", "2",
+        )
+        assert doc["graph6"] == "CQ" and doc["N"] == "2"
 
     def test_gamma_spends_one_budget(self, capsys):
         # the 45 endpoint pairs of the Petersen graph visit 795 nodes in all

@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given, strategies as st
@@ -14,6 +16,7 @@ from kklab import (
     automorphism_count,
     bowtie_graph,
     TrialPlan,
+    canonical_key,
     complete_graph,
     copies_as_edge_masks,
     count_cliques,
@@ -191,6 +194,35 @@ class TestPacking:
     def test_rejects_empty_pattern(self):
         with pytest.raises(ValueError):
             packing_number(complete_graph(3), empty_graph(2))
+
+    @pytest.mark.parametrize("v", range(3, 7))
+    def test_matches_brute_force_on_catalog(self, v):
+        # copies found by canonical keys of edge subsets, and the largest
+        # pairwise disjoint family of them, on hosts with at most 16 copies
+        patterns = (complete_graph(3), cycle_graph(4), path_graph(2), path_graph(3), star_graph(3))
+        for host in graphs_on(v):
+            for pattern in patterns:
+                want = canonical_key(pattern)
+                copies = []
+                for idx in itertools.combinations(range(host.edge_count), pattern.edge_count):
+                    sub = [host.edges[i] for i in idx]
+                    spanned = set(sum(sub, ()))
+                    if len(spanned) == pattern.n and (
+                        canonical_key(Graph(host.n, sub).induced(spanned)) == want
+                    ):
+                        copies.append(sum(1 << i for i in idx))
+                if len(copies) > 16:
+                    continue
+                assert copies_as_edge_masks(host, pattern) == sorted(copies)
+                e = pattern.edge_count
+                best = max(
+                    r
+                    for r in range(len(copies) + 1)
+                    for family in itertools.combinations(copies, r)
+                    if reduce(or_, family, 0).bit_count() == r * e
+                )
+                assert packing_number(host, pattern) == best, host.edges
+                assert packing_number(host, pattern, mode="greedy") <= best
 
 
 class TestResourceGuards:

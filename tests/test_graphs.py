@@ -389,6 +389,39 @@ class TestCanonicalPins:
         )
 
 
+def brute_canonical_form(g):
+    """The relabeling by the vertex order with the least row sequence, over
+    every order that lists the ``refine_colors`` classes in rank order; the
+    row of a vertex holds its adjacency to the earlier ones, bit i for the
+    i-th."""
+    colors = kklab.graphs.refine_colors(g)
+    best = None
+    for order in permutations(range(g.n)):
+        if any(colors[a] > colors[b] for a, b in zip(order, order[1:])):
+            continue
+        rows = [
+            sum((g.adj[v] >> w & 1) << i for i, w in enumerate(order[:pos]))
+            for pos, v in enumerate(order)
+        ]
+        if best is None or rows < best[0]:
+            best = (rows, order)
+    perm = [0] * g.n
+    for pos, v in enumerate(best[1]):
+        perm[v] = pos
+    return g.relabel(perm)
+
+
+class TestCanonicalFormOracle:
+    @pytest.mark.parametrize("k", range(7))
+    def test_matches_brute_force_in_two_labelings(self, k):
+        shuffle = derive_rng(k, "canonical-oracle").shuffle
+        for g in graphs_on(k) if k else [empty_graph(0)]:
+            perm = list(range(k))
+            shuffle(perm)
+            for h in (g, g.relabel(perm)):
+                assert kklab.graphs.canonical_form(h) == brute_canonical_form(h), to_graph6(h)
+
+
 def swap_is_automorphism(g, u, v):
     p = list(range(g.n))
     p[u], p[v] = v, u

@@ -8,7 +8,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cmp_to_key, lru_cache
 
 import pytest
 from hypothesis import given, strategies as st
@@ -63,13 +63,13 @@ def subsets(H: Graph):
         yield mask, tuple(H.edges[i] for i in range(H.edge_count) if mask >> i & 1)
 
 
-def brute_classes(H: Graph, keep=lambda sub: True) -> dict:
+def brute_classes(H: Graph, keep=lambda sub: True, aut=automorphism_count) -> dict:
     classes = {}
     for _, sub in subsets(H):
         if not keep(sub):
             continue
         J = strip(sub)
-        key = (J.n, len(sub), automorphism_count(J))
+        key = (J.n, len(sub), aut(J))
         cur = classes.setdefault(key, [0, sub])
         cur[0] += 1
         cur[1] = min(cur[1], sub)
@@ -96,6 +96,42 @@ class TestClassTable:
     @pytest.mark.parametrize("H", SMALL_HOSTS, ids=to_graph6)
     def test_matches_brute_force(self, H):
         assert scan_subgraph_classes(H) == brute_classes(H)
+
+
+class TestThresholdTies:
+    """The report's threshold, base pair and witness against a brute-force
+    reference: the largest class threshold over ``brute_classes``, with the
+    lex-min edge tuple among the classes that attain it."""
+
+    @pytest.mark.parametrize("v", range(2, 7))
+    def test_matches_brute_force(self, v):
+        aut = lru_cache(maxsize=None)(automorphism_count)
+        for H in graphs_on(v):
+            if not H.edge_count:
+                continue
+            table = scan_subgraph_classes(H)
+            brute = brute_classes(H, aut=aut)
+            for n in sorted({v, v + 1, 7, 8, 10, 12, 20}):
+                for target_den in (1, 2):
+                    thr = {key: class_threshold(n, target_den, *key) for key in brute}
+                    top = max(thr.values(), key=cmp_to_key(value_cmp))
+                    tied = [key for key in brute if value_cmp(thr[key], top) == 0]
+                    bv, be, baut = min(tied, key=lambda key: brute[key][1])
+                    report = _build_report(H, n, target_den, table, DEFAULT_DIGITS)
+                    assert value_cmp(report.threshold, top) == 0
+                    assert report.base_pair == (target_den * (math.perm(n, bv) // baut), be)
+                    assert report.witness_edges == brute[bv, be, baut][1]
+
+    def test_tie_at_the_maximum(self):
+        # K3 plus a pendant edge at n = 4: the star (4, 3, 6) ties with the
+        # triangle (3, 3, 6), and the witness is the lex-min of the two
+        H = Graph(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        report = q_min(H, 4)
+        top = report.classes[:2]
+        assert [(c.v, c.e, c.aut) for c in top] == [(3, 3, 6), (4, 3, 6)]
+        assert value_cmp(top[0].threshold, top[1].threshold) == 0
+        assert report.witness_edges == ((0, 1), (0, 2), (1, 2))
+        assert report.base_pair == (4, 3)
 
 
 class TestPrunedPath:
@@ -208,7 +244,7 @@ K7_MINUS_5 = Graph(7, [(a, b) for a in range(7) for b in range(a + 1, 7)][:16])
 
 
 class TestCertifiedSparseBigHosts:
-    # 16 or more edges, so certified_sparse tries the quick disproof on the
+    # 16 or more edges; certified_sparse tries the quick disproof on the
     # full edge set and the densest part before any scan
     @pytest.mark.parametrize(
         "H,q,sparse",

@@ -10,6 +10,8 @@ import pytest
 from kklab import catalog, expectation, search
 from kklab import (
     DEFAULT_EDGE_CAP,
+    EdgeCapError,
+    Graph,
     PreconditionError,
     certified_sparse,
     complete_graph,
@@ -61,6 +63,17 @@ class TestCertifiedSparse:
             with pytest.raises(PreconditionError) as err:
                 check(g, n, q)
             assert str(err.value) == message
+
+    def test_disproof_decides_past_the_edge_cap(self):
+        # K4's full edge set has expectation (10)_4/24 * 10^-6 < 1
+        assert certified_sparse(complete_graph(4), 10, Fraction(1, 10), edge_cap=3) is False
+
+    def test_refuses_past_the_edge_cap_what_the_disproof_cannot_decide(self):
+        # two disjoint edges, sparse at q = 1/20, pass both seed masks
+        two_edges = Graph(4, [(0, 1), (2, 3)])
+        assert certified_sparse(two_edges, 10, Fraction(1, 20))
+        with pytest.raises(EdgeCapError, match="quick disproof found no violation"):
+            certified_sparse(two_edges, 10, Fraction(1, 20), edge_cap=1)
 
     def test_matches_reference_check_at_the_triangle_root(self):
         n = 10

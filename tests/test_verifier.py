@@ -3,6 +3,7 @@ legal sequences, path-length cutoff, peeling."""
 
 import hashlib
 import inspect
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -185,6 +186,23 @@ class TestLegalSequences:
     def test_big_child_counts_rejected(self):
         with pytest.raises(PreconditionError):
             count_legal_sequences((5, 0), 1, 4, 4, 9)
+
+    @pytest.mark.parametrize("eps,d", [(1, 2), (1, 3), (Fraction(1, 4), 4), (Fraction(1, 2), 3)])
+    def test_matches_enumeration(self, eps, d):
+        # every vector whose entries are each a big value in [m, d_cap] or
+        # the child count, with the big entries summing to D
+        m = next(k for k in itertools.count(1) if k * k >= Fraction(eps) * d * d)
+        for length in range(1, 4):
+            for f in itertools.product(range(m), repeat=length):
+                for d_cap in range(m, m + 4):
+                    choices = [(x, *range(m, d_cap + 1)) for x in f]
+                    big_sums = [
+                        sum(x for x in vec if x >= m) for vec in itertools.product(*choices)
+                    ]
+                    for D in range(length * d_cap + 2):
+                        result = count_legal_sequences(f, eps, d, D, d_cap)
+                        assert result.big_threshold == m
+                        assert result.count == big_sums.count(D), (f, d_cap, D)
 
 
 class TestEllHat:

@@ -76,7 +76,7 @@ from .exact import (
     value_pow,
     value_root,
 )
-from .graphs import Graph, automorphism_count, max_density, to_graph6
+from .graphs import Graph, _edges_within, automorphism_count, max_density, to_graph6
 from .util import (
     DEFAULT_EDGE_CAP,
     DEFAULT_HEURISTIC_VERTEX_CAP,
@@ -463,72 +463,70 @@ def _check_host(H: Graph, n: int):
         raise PreconditionError(f"ambient n={n} is below the host's {H.n} vertices")
 
 
+def _scan_cap_error(m: int, edge_cap: int, hint: str = "") -> EdgeCapError:
+    """The refusal of an exact scan of a host with m > edge_cap edges."""
+    return EdgeCapError(
+        f"exact scan over 2^{m} edge subsets exceeds the cap of {edge_cap} edges{hint}"
+    )
+
+
+def _connected_sets(adj, keep):
+    """Yield each connected vertex set (a mask) of the graph with adjacency
+    masks adj that keep accepts; keep must accept every connected subset
+    of a set it accepts.
+
+    A set grows from its least vertex and each child bans its earlier
+    siblings, so only the child adding a set's least eligible vertex can
+    reach it, and each set is reached once.  A rejected child still bans
+    its later siblings, since no set that keep accepts contains it.
+    """
+    # (set, frontier, banned); banned holds the set itself
+    stack = [(1 << r, nbrs, (2 << r) - 1) for r, nbrs in enumerate(adj) if keep(1 << r)]
+    while stack:
+        vset, frontier, banned = stack.pop()
+        yield vset
+        ext = mm = frontier & ~banned
+        while mm:
+            low = mm & -mm
+            mm ^= low
+            if keep(vset | low):
+                nbrs = adj[low.bit_length() - 1]
+                stack.append((vset | low, frontier | nbrs, banned | ext & ~mm))
+
+
 def _connected_classes(H: Graph, vertex_cap: int) -> dict:
     """Classes of connected subgraphs with at most vertex_cap vertices.
 
     Used by heuristic mode only; the resulting threshold is a lower bound
     because disconnected subgraphs can dominate the maximum.
 
-    The growth reaches each connected vertex set exactly once: only its
-    least vertex can be its root, since lower vertices are banned there,
-    and at each step only the child that adds the set's least eligible
-    vertex can still reach it, since each child bans its earlier siblings.
-    A vertex set that induces more than 18 edges adds only its induced
-    subgraph, not its sparser spanning subgraphs, so on such sets the
-    flagged lower bound is looser still.
+    One pass of ``_connected_sets`` over H reaches each connected vertex
+    set with at most vertex_cap vertices.  A set that induces more than 18
+    edges adds only its induced subgraph, not its sparser spanning
+    subgraphs, so on such sets the flagged lower bound is looser still.
+    A connected edge subset is a connected vertex set of H's line graph,
+    so a second pass, over the line graph, reaches once, as an edge mask,
+    each connected subgraph whose span is a set of the first pass that
+    induces at most 18 edges (a test its connected parts pass too).
     """
-    classes = {}
+    classes: dict = {}
     auts: dict = {}
-
-    def grow(vset: int, frontier: int, banned: int):
-        inner = Graph(
-            H.n, [e for e in H.edges if (1 << e[0]) & vset and (1 << e[1]) & vset]
-        )
-        if inner.edge_count > 18:
-            _add_class(
-                classes, *_class_of_mask(inner, (1 << inner.edge_count) - 1, auts)
-            )
+    sparse = set()
+    for vset in _connected_sets(H.adj, lambda vset: vset.bit_count() <= vertex_cap):
+        if _edges_within(H, vset) <= 18:
+            sparse.add(vset)
         else:
-            # the subsets of inner edges that span vset and are connected
-            k = vset.bit_count()
-            for mask, v, _, _ in _gray_steps(inner):
-                if v != k:
-                    continue
-                if _spanning_connected(_subset_of_mask(inner, mask)[0], vset):
-                    _add_class(classes, *_class_of_mask(inner, mask, auts))
-        if vset.bit_count() >= vertex_cap:
-            return
-        ext = frontier & ~vset & ~banned
-        done = 0
-        mm = ext
-        while mm:
-            low = mm & -mm
-            w = low.bit_length() - 1
-            mm ^= low
-            grow(vset | low, frontier | H.adj[w], banned | done)
-            done |= low
-
-    for v in range(H.n):
-        if H.adj[v]:
-            grow(1 << v, H.adj[v], (1 << v) - 1)
+            edges = enumerate(H.edges)
+            induced = sum(1 << i for i, (a, b) in edges if vset >> a & vset >> b & 1)
+            _add_class(classes, *_class_of_mask(H, induced, auts))
+    # line[i]: the edges that share an endpoint with edge i
+    line = [
+        sum(1 << j for j, f in enumerate(H.edges) if j != i and set(e) & set(f))
+        for i, e in enumerate(H.edges)
+    ]
+    for emask in _connected_sets(line, lambda m: _subset_of_mask(H, m)[1] in sparse):
+        _add_class(classes, *_class_of_mask(H, emask, auts))
     return classes
-
-
-def _spanning_connected(sub_edges, vset: int) -> bool:
-    adj = {}
-    for a, b in sub_edges:
-        adj.setdefault(a, []).append(b)
-        adj.setdefault(b, []).append(a)
-    start = (vset & -vset).bit_length() - 1
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in adj.get(u, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == vset.bit_count()
 
 
 def _exact_report(H: Graph, n: int, target_den: int, digits: int) -> SparsityReport:
@@ -562,10 +560,8 @@ def q_min(
     if mode != "exact":
         raise PreconditionError("mode must be 'exact' or 'heuristic'")
     if H.edge_count > edge_cap:
-        raise EdgeCapError(
-            f"exact scan over 2^{H.edge_count} edge subsets exceeds the cap of "
-            f"{edge_cap} edges; use mode='heuristic' for a flagged lower bound"
-        )
+        hint = "; use mode='heuristic' for a flagged lower bound"
+        raise _scan_cap_error(H.edge_count, edge_cap, hint)
     return _exact_report(H, n, 1, digits)
 
 
@@ -578,10 +574,7 @@ def expectation_threshold(
     """Least p with every subgraph expectation at least 1/2 (threshold p_E)."""
     _check_host(H, n)
     if H.edge_count > edge_cap:
-        raise EdgeCapError(
-            f"exact scan over 2^{H.edge_count} edge subsets exceeds the cap of "
-            f"{edge_cap} edges"
-        )
+        raise _scan_cap_error(H.edge_count, edge_cap)
     return _exact_report(H, n, 2, digits)
 
 
@@ -785,9 +778,7 @@ def is_q_sparse(H: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> Sparse
     # the crude count bound certifies hosts of any size, so it alone may
     # spare a host above the cap
     if m > edge_cap and not _VerdictMemo(n, q, m).crude_certifies(H):
-        raise EdgeCapError(
-            f"exact scan over 2^{m} edge subsets exceeds the cap of {edge_cap} edges"
-        )
+        raise _scan_cap_error(m, edge_cap)
     verdict, worst, tup = violation_scan(H, n, q)
     if verdict:
         return SparseCheck(sparse=True, n=n, q=q)

@@ -23,6 +23,7 @@ from .counting import (
     packing_number,
 )
 from .exact import (
+    Root,
     ceil_root,
     cmp_with_e_power,
     value_cmp,
@@ -69,6 +70,22 @@ def _base_inputs(H: Graph, n: int, q) -> dict:
 # -- structural bounds for sparse hosts ----------------------------------------
 
 
+def _power_exceeds_one(n: int, t: int, q, e: int) -> bool:
+    """n^t * q^e > 1, true when e = 0 or q = 1.  For q = (a/b)^(1/k) it is
+    t*k*log2 n + e*log2 a > e*log2 b; bit lengths bound each log2 within 1
+    and decide it outside one band, where the exact power is built."""
+    if e == 0 or value_cmp(q, 1) == 0:
+        return True
+    base, k = (q.base, q.exp) if isinstance(q, Root) else (Fraction(q), 1)
+    ab, bb = base.numerator.bit_length(), base.denominator.bit_length()
+    nb = n.bit_length()
+    if ab and t * k * (nb - 1) + e * (ab - 1) >= e * bb:
+        return True
+    if t * k * nb + e * ab <= e * (bb - 1):
+        return False
+    return value_cmp(value_mul(Fraction(n) ** t, value_pow(q, e)), 1) > 0
+
+
 def verify_structure(H: Graph, n: int, q) -> list:
     """Five exact bound checks for a q-sparse host at scale n."""
     _require_sparse(H, n, q)
@@ -113,12 +130,7 @@ def verify_structure(H: Graph, n: int, q) -> list:
     )
 
     # density below 1/c with c solving q = n^-c:  n^den * q^num > 1
-    if H.edge_count == 0 or value_cmp(q, 1) == 0:
-        ratio_ok = True
-    else:
-        ratio_ok = (
-            value_cmp(value_mul(Fraction(n) ** den, value_pow(q, num)), 1) > 0
-        )
+    ratio_ok = _power_exceeds_one(n, den, q, num)
     reports.append(
         PropositionReport(
             prop_id="density-ratio-bound",
@@ -144,12 +156,7 @@ def verify_structure(H: Graph, n: int, q) -> list:
         )
     )
 
-    if e_h == 0 or value_cmp(q, 1) == 0:
-        edge_ratio_ok = True
-    else:
-        edge_ratio_ok = (
-            value_cmp(value_mul(Fraction(n) ** n, value_pow(q, e_h)), 1) > 0
-        )
+    edge_ratio_ok = _power_exceeds_one(n, n, q, e_h)
     reports.append(
         PropositionReport(
             prop_id="edge-count-ratio-bound",

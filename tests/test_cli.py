@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pathlib
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -100,6 +101,26 @@ class TestReports:
     def test_csv_unavailable_elsewhere(self, capsys):
         code, _, err = run(capsys, "aut", "--graph", "K3", "--format", "csv")
         assert code == 1 and "csv" in err
+
+
+def readme_commands() -> list:
+    """The argv of each kklab line in the README's command-line block."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text().split("## Command line", 1)[1].split("```")[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("kklab ")]
+
+
+README_COMMANDS = readme_commands()
+
+
+class TestReadmeCommands:
+    def test_block_is_read(self):
+        assert len(README_COMMANDS) >= 12
+        assert any("heuristic" in argv for argv in README_COMMANDS)
+
+    @pytest.mark.parametrize("argv", README_COMMANDS, ids=" ".join)
+    def test_runs_to_a_report(self, capsys, argv):
+        run_json(capsys, *argv)
 
 
 def roundtrip(doc: dict) -> dict:

@@ -46,6 +46,7 @@ from kklab.expectation import (
     _signature_key,
     scan_subgraph_classes,
 )
+from kklab.util import iter_bits
 
 SMALL_HOSTS = [g for v in range(2, 6) for g in graphs_on(v) if g.edge_count]
 
@@ -313,6 +314,56 @@ class TestHeuristicMode:
         assert report.lower_bound_only
         rows = [row for row in table_rows(report) if row[1] == 7]
         assert rows == [(to_graph6(H), 7, 19, automorphism_count(H), 1)]
+
+
+class TestConnectedGrowth:
+    """Heuristic mode grows each connected subgraph once, as a connected
+    vertex set of the host's line graph, and walks no edge subsets."""
+
+    @pytest.mark.parametrize("v", range(2, 7))
+    def test_grower_reaches_each_connected_set_once(self, v):
+        for H in graphs_on(v):
+            for cap in range(1, v + 1):
+                got = list(
+                    expectation._connected_sets(H.adj, lambda s: s.bit_count() <= cap)
+                )
+                want = [
+                    mask
+                    for mask in range(1, 1 << v)
+                    if mask.bit_count() <= cap and H.induced(iter_bits(mask)).is_connected()
+                ]
+                assert sorted(got) == want, (to_graph6(H), cap)
+
+    @pytest.mark.parametrize("v", range(2, 7))
+    def test_catalog_at_every_cap(self, v):
+        # hosts on at most 6 vertices have at most 15 edges, so no vertex set
+        # is dense; a class key holds its vertex count, so the reference at
+        # each cap is the connected table filtered by that count
+        aut = lru_cache(maxsize=None)(automorphism_count)
+        n = v + 2
+        for H in graphs_on(v):
+            if not H.edge_count:
+                continue
+            table = brute_classes(H, connected, aut=aut)
+            for cap in range(2, v + 1):
+                report = q_min(H, n, mode="heuristic", heuristic_vertex_cap=cap)
+                brute = {key: row for key, row in table.items() if key[0] <= cap}
+                want = _build_report(H, n, 1, brute, DEFAULT_DIGITS, lower_bound_only=True)
+                assert table_rows(report) == table_rows(want), (to_graph6(H), cap)
+                assert value_cmp(report.threshold, want.threshold) == 0
+                assert report.witness_edges == want.witness_edges
+
+    def test_makes_no_gray_walk(self, monkeypatch):
+        walks = []
+
+        def counted(H):
+            walks.append(H)
+            return _gray_steps(H)
+
+        monkeypatch.setattr(expectation, "_gray_steps", counted)
+        report = q_min(complete_graph(5), 7, mode="heuristic", heuristic_vertex_cap=5)
+        assert report.lower_bound_only
+        assert walks == []
 
 
 class TestWalkerSym:

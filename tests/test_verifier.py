@@ -13,6 +13,7 @@ from hypothesis import given, strategies as st
 
 import kklab.counting
 import kklab.expectation
+import kklab.verifier
 from kklab import (
     Graph,
     PreconditionError,
@@ -24,19 +25,23 @@ from kklab import (
     derive_rng,
     ell_hat,
     fit_decompose,
+    make_value,
     parse_edge_list,
     path_graph,
     peel_min_degree,
     q_min,
     required_L,
     star_graph,
+    value_cmp,
+    value_mul,
+    value_pow,
     verify_fit_partition,
     verify_main_inequality,
     verify_packing,
     verify_structure,
 )
 from kklab.cli import load_graph, main
-from kklab.verifier import DegreeProfile
+from kklab.verifier import DegreeProfile, _power_exceeds_one
 
 
 class TestStructure:
@@ -60,6 +65,56 @@ class TestStructure:
         for r in reports:
             assert r.inputs["n"] == 8
             assert r.to_json()["verdict"] is True
+
+
+RATIO_QS = [
+    Fraction(0),
+    Fraction(1, 2),
+    Fraction(2, 3),
+    Fraction(3, 4),
+    Fraction(99, 100),
+    Fraction(1, 1000),
+    Fraction(1),
+    make_value(Fraction(1, 2), 3),
+    make_value(Fraction(2, 3), 2),
+    make_value(Fraction(3, 4), 2),
+    make_value(Fraction(1, 120), 3),
+]
+
+
+def exact_power_exceeds_one(n, t, q, e) -> bool:
+    """n^t * q^e > 1 by the exact power, true when e = 0 or q = 1."""
+    if e == 0 or value_cmp(q, 1) == 0:
+        return True
+    return value_cmp(value_mul(Fraction(n) ** t, value_pow(q, e)), 1) > 0
+
+
+class TestRatioBounds:
+    """The two ratio bounds decide n^t * q^e > 1 by bit lengths first."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64, 100, 255, 299])
+    def test_bit_lengths_agree_with_the_exact_power(self, n):
+        # e runs past n*log2 n, where n^n * (1/2)^e crosses 1
+        top = n * (n.bit_length() + 2)
+        for q in RATIO_QS:
+            for t in sorted({1, n}):
+                for e in range(0, top + 1, max(1, top // 120)):
+                    want = exact_power_exceeds_one(n, t, q, e)
+                    assert _power_exceeds_one(n, t, q, e) == want, (n, t, q, e)
+
+    def test_a_million_vertices_build_no_power(self, monkeypatch):
+        calls = []
+        real = kklab.verifier.value_pow
+
+        def counted(x, k):
+            calls.append(k)
+            return real(x, k)
+
+        monkeypatch.setattr(kklab.verifier, "value_pow", counted)
+        reports = verify_structure(complete_graph(3), 10**6, Fraction(1, 2))
+        ratios = [r.verdict for r in reports if r.prop_id.endswith("ratio-bound")]
+        assert ratios == [True, True]
+        assert calls == []
 
 
 class TestPacking:

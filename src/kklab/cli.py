@@ -31,7 +31,6 @@ from __future__ import annotations
 import argparse
 import io
 import json
-import pathlib
 import re
 import sys
 import time
@@ -177,9 +176,11 @@ def load_graph(spec: str) -> Graph:
         return parse_graph(sys.stdin.read())
     if spec.startswith("g6:"):
         return parse_graph6(spec[3:])
-    path = pathlib.Path(spec)
-    if path.exists():
-        return parse_graph(path.read_text())
+    try:
+        with open(spec) as fh:
+            return parse_graph(fh.read())
+    except (FileNotFoundError, NotADirectoryError):
+        pass
     try:
         g = _graph_token(spec)
     except (ValueError, PreconditionError) as exc:
@@ -209,7 +210,8 @@ def _inject_config(argv: list) -> list:
     if path is None or not argv:
         return argv
     try:
-        text = pathlib.Path(path).read_text()
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise _InputError(f"cannot read config file: {exc}")
     extra = []
@@ -255,50 +257,34 @@ def _render_text(doc: dict) -> str:
 
 
 def _emit(args, doc: dict, csv_table=None) -> None:
-    """Write the report; ``csv_table`` renders a tabular result as CSV text
-    and is called only for ``--format csv``."""
-    fmt = getattr(args, "format", "json")
-    if fmt == "csv":
+    """Write the report.  Every handler's document gets ``"schema": SCHEMA``
+    as its first key here; ``csv_table`` renders a tabular result as CSV
+    text and is called only for ``--format csv``."""
+    if args.format == "csv":
         if csv_table is None:
             raise _InputError("csv output is not available for this subcommand")
         rendered = csv_table()
-    elif fmt == "text":
-        text = doc.pop("_text", None)
-        rendered = text if text is not None else _render_text(doc)
     else:
-        doc.pop("_text", None)
-        rendered = json.dumps(doc, indent=2) + "\n"
-    out_path = getattr(args, "out", None)
-    if out_path:
-        pathlib.Path(out_path).write_text(rendered)
+        text = doc.pop("_text", None)
+        doc = {"schema": SCHEMA, **doc}
+        if args.format == "json":
+            rendered = json.dumps(doc, indent=2) + "\n"
+        else:
+            rendered = text if text is not None else _render_text(doc)
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(rendered)
     else:
         sys.stdout.write(rendered)
 
 
-def _leaderboard_csv(entries) -> str:
+def _csv(header: list, rows) -> str:
     import csv
 
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["rank", "graph6", "score_lo", "score_hi", "N", "moves", "seed", "chain"])
-    for rank, entry in enumerate(entries):
-        lo, hi = entry.enclosure
-        writer.writerow(
-            [rank, to_graph6(entry.graph), lo, hi, entry.copies, entry.moves, entry.seed, entry.chain]
-        )
-    return buf.getvalue()
-
-
-def _sweep_csv(result) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["graph6", "score_lo", "score_hi", "N", "candidates", "sparse_candidates"])
-    lo, hi = result.enclosure
-    writer.writerow(
-        [to_graph6(result.graph), lo, hi, result.copies, result.candidates, result.sparse_candidates]
-    )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -309,7 +295,6 @@ def _sparsity_doc(report, label: str, digits: int) -> dict:
     from .exact import value_to_json
 
     return {
-        "schema": SCHEMA,
         label: value_to_json(report.threshold, digits),
         "base_pair": [str(report.base_pair[0]), report.base_pair[1]],
         "enclosure": list(report.enclosure),
@@ -334,7 +319,6 @@ def _sparsity_doc(report, label: str, digits: int) -> dict:
 
 def _reports_doc(reports: list) -> dict:
     return {
-        "schema": SCHEMA,
         "all_pass": all(r.verdict for r in reports),
         "reports": [r.to_json() for r in reports],
     }
@@ -368,13 +352,13 @@ def _cmd_count(args):
                 host, args.x, args.y, args.param, node_budget=args.node_budget
             )
     elapsed = time.perf_counter() - start
-    return {"schema": SCHEMA, "count": str(value), "elapsed_s": round(elapsed, 6)}, None
+    return {"count": str(value), "elapsed_s": round(elapsed, 6)}, None
 
 
 def _cmd_gamma(args):
     host = load_graph(args.graph)
     value, pair = max_xy_paths(host, args.length, node_budget=args.node_budget)
-    return {"schema": SCHEMA, "gamma": str(value), "pair": list(pair)}, None
+    return {"gamma": str(value), "pair": list(pair)}, None
 
 
 def _cmd_pack(args):
@@ -383,14 +367,13 @@ def _cmd_pack(args):
     value = packing_number(
         host, pattern, mode=args.mode, copy_cap=args.copy_cap, node_budget=args.node_budget
     )
-    return {"schema": SCHEMA, "packing": str(value), "mode": args.mode}, None
+    return {"packing": str(value), "mode": args.mode}, None
 
 
 def _cmd_density(args):
     host = load_graph(args.graph)
     best = max_density(host)
     return {
-        "schema": SCHEMA,
         "density": f"{best.numerator}/{best.denominator}",
         "witness": list(best.witness),
     }, None
@@ -398,7 +381,7 @@ def _cmd_density(args):
 
 def _cmd_aut(args):
     host = load_graph(args.graph)
-    return {"schema": SCHEMA, "aut": str(automorphism_count(host))}, None
+    return {"aut": str(automorphism_count(host))}, None
 
 
 def _cmd_qmin(args):
@@ -431,7 +414,6 @@ def _cmd_sparse_check(args):
     host = load_graph(args.graph)
     check = is_q_sparse(host, args.n, args.q, edge_cap=args.edge_cap)
     doc = {
-        "schema": SCHEMA,
         "sparse": check.sparse,
         "n": check.n,
         "q": value_to_json(check.q, args.precision),
@@ -455,7 +437,6 @@ def _cmd_expect(args):
     p = args.p if has_p else value_mul(args.L, args.q)
     value = expected_copies(args.n, p, pattern)
     return {
-        "schema": SCHEMA,
         "expectation": value_to_json(value, args.precision),
         "p": value_to_json(p, args.precision),
         "n": args.n,
@@ -477,7 +458,6 @@ def _cmd_required_l(args):
         node_budget=args.node_budget,
     )
     return {
-        "schema": SCHEMA,
         "required_L": value_to_json(req.value, args.precision),
         "enclosure": list(req.enclosure),
         "N": str(req.copies),
@@ -518,7 +498,6 @@ def _cmd_verify_legal(args):
 
     result = count_legal_sequences(args.f, args.eps, args.d, args.D, args.d_cap)
     return {
-        "schema": SCHEMA,
         "count": str(result.count),
         "big_threshold": result.big_threshold,
         "bound": str(result.bound),
@@ -550,7 +529,6 @@ def _cmd_peel(args):
         copy_cap=args.copy_cap, node_budget=args.node_budget,
     )
     return {
-        "schema": SCHEMA,
         "surviving": list(result.surviving),
         "degrees": [str(d) for d in result.degrees],
         "total_copies": str(result.total_copies),
@@ -563,7 +541,6 @@ def _cmd_ellhat(args):
 
     result = ell_hat(args.n, args.q, args.delta)
     return {
-        "schema": SCHEMA,
         "ell_hat": str(result.value),
         "n": result.n,
         "delta": format_fraction(result.delta),
@@ -585,9 +562,7 @@ def _cmd_pc(args):
         confidence=args.confidence,
     )
     result = estimate_pc(plan)
-    doc = {"schema": SCHEMA}
-    doc.update(result.to_json())
-    return doc, result.trace_csv
+    return result.to_json(), result.trace_csv
 
 
 def _cmd_gen(args):
@@ -606,7 +581,6 @@ def _cmd_gen(args):
     )
     g6 = to_graph6(g)
     return {
-        "schema": SCHEMA,
         "family": args.family,
         "graph6": g6,
         "vertices": g.n,
@@ -635,9 +609,11 @@ def _cmd_search(args):
         edge_cap=args.edge_cap,
         digits=args.precision,
     )
-    doc = {"schema": SCHEMA}
-    doc.update(result.to_json())
-    return doc, lambda: _leaderboard_csv(result.entries)
+    return result.to_json(), lambda: _csv(
+        ["rank", "graph6", "score_lo", "score_hi", "N", "moves", "seed", "chain"],
+        ([rank, to_graph6(e.graph), *e.enclosure, e.copies, e.moves, e.seed, e.chain]
+         for rank, e in enumerate(result.entries)),
+    )
 
 
 def _cmd_sweep(args):
@@ -652,9 +628,11 @@ def _cmd_sweep(args):
         edge_cap=args.edge_cap,
         digits=args.precision,
     )
-    doc = {"schema": SCHEMA}
-    doc.update(result.to_json())
-    return doc, lambda: _sweep_csv(result)
+    return result.to_json(), lambda: _csv(
+        ["graph6", "score_lo", "score_hi", "N", "candidates", "sparse_candidates"],
+        [[to_graph6(result.graph), *result.enclosure, result.copies, result.candidates,
+          result.sparse_candidates]],
+    )
 
 
 # -- parser ------------------------------------------------------------------

@@ -76,7 +76,15 @@ from .exact import (
     value_pow,
     value_root,
 )
-from .graphs import Graph, _edges_within, automorphism_count, max_density, to_graph6
+from .graphs import (
+    Graph,
+    _edge_mask_within,
+    _edges_within,
+    _span_mask,
+    automorphism_count,
+    max_density,
+    to_graph6,
+)
 from .util import (
     DEFAULT_EDGE_CAP,
     DEFAULT_HEURISTIC_VERTEX_CAP,
@@ -158,20 +166,6 @@ def _gray_steps(H: Graph):
         yield mask, v_cur, e_cur, sym
 
 
-def _subset_of_mask(H: Graph, mask: int):
-    sub = []
-    vm = 0
-    mm = mask
-    while mm:
-        low = mm & -mm
-        i = low.bit_length() - 1
-        mm ^= low
-        a, b = H.edges[i]
-        sub.append((a, b))
-        vm |= (1 << a) | (1 << b)
-    return sub, vm
-
-
 def _subset_profile(H: Graph, mask: int):
     """(edge list, vertex mask, signatures) of one edge subset of H.
 
@@ -179,13 +173,20 @@ def _subset_profile(H: Graph, mask: int):
     neighbours in the subset, with w = H.n.bit_length(): each degree occurs
     fewer than 2^w times, so the sum encodes the multiset exactly (and with
     it x's degree).  It is 0 exactly at the vertices the subset does not
-    span.
+    span.  It decodes the mask itself rather than through
+    ``graphs._span_mask``, since it needs the edge list too.
     """
-    sub, vm = _subset_of_mask(H, mask)
+    sub = []
+    vm = 0
     deg = [0] * H.n
-    for a, b in sub:
+    while mask:
+        low = mask & -mask
+        a, b = e = H.edges[low.bit_length() - 1]
+        sub.append(e)
+        vm |= 1 << a | 1 << b
         deg[a] += 1
         deg[b] += 1
+        mask ^= low
     w = H.n.bit_length()
     sums = [0] * H.n
     for a, b in sub:
@@ -283,12 +284,7 @@ def _seed_masks(H: Graph):
     the disproof stops at the full edge set whenever that set violates.
     """
     yield (1 << H.edge_count) - 1
-    wset = set(max_density(H).witness)
-    dense = 0
-    for i, (a, b) in enumerate(H.edges):
-        if a in wset and b in wset:
-            dense |= 1 << i
-    yield dense
+    yield _edge_mask_within(H, sum(1 << x for x in max_density(H).witness))
 
 
 _PRUNED_MEMBER_CAP = 400_000
@@ -516,15 +512,13 @@ def _connected_classes(H: Graph, vertex_cap: int) -> dict:
         if _edges_within(H, vset) <= 18:
             sparse.add(vset)
         else:
-            edges = enumerate(H.edges)
-            induced = sum(1 << i for i, (a, b) in edges if vset >> a & vset >> b & 1)
-            _add_class(classes, *_class_of_mask(H, induced, auts))
+            _add_class(classes, *_class_of_mask(H, _edge_mask_within(H, vset), auts))
     # line[i]: the edges that share an endpoint with edge i
     line = [
         sum(1 << j for j, f in enumerate(H.edges) if j != i and set(e) & set(f))
         for i, e in enumerate(H.edges)
     ]
-    for emask in _connected_sets(line, lambda m: _subset_of_mask(H, m)[1] in sparse):
+    for emask in _connected_sets(line, lambda m: _span_mask(H, m) in sparse):
         _add_class(classes, *_class_of_mask(H, emask, auts))
     return classes
 

@@ -309,14 +309,8 @@ def to_graph6(g: Graph) -> str:
         head = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
     else:
         head = [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
-    bits = 0
+    _, bits = _packed_key(g)
     nbits = n * (n - 1) // 2
-    k = nbits - 1
-    for j in range(1, n):
-        for i in range(j):
-            if g.has_edge(i, j):
-                bits |= 1 << k
-            k -= 1
     nbytes = -(-nbits // 6)
     if nbits:
         bits <<= nbytes * 6 - nbits
@@ -460,6 +454,28 @@ def _edges_within(g: Graph, mask: int) -> int:
     for v in iter_bits(mask):
         total += (g.adj[v] & mask).bit_count()
     return total // 2
+
+
+def _span_mask(g: Graph, emask: int) -> int:
+    """The vertex mask spanned by the edge mask ``emask`` of g, whose bit i
+    stands for g.edges[i]."""
+    vm = 0
+    edges = g.edges
+    while emask:
+        low = emask & -emask
+        a, b = edges[low.bit_length() - 1]
+        vm |= 1 << a | 1 << b
+        emask ^= low
+    return vm
+
+
+def _edge_mask_within(g: Graph, vmask: int) -> int:
+    """The edge mask of g's edges with both ends in the vertex mask ``vmask``."""
+    emask = 0
+    for i, (a, b) in enumerate(g.edges):
+        if vmask >> a & vmask >> b & 1:
+            emask |= 1 << i
+    return emask
 
 
 def max_density_bruteforce(g: Graph, vertex_limit: int = 20) -> DensityValue:
@@ -840,7 +856,11 @@ def canonical_key(g: Graph):
 
 
 def _packed_key(cf: Graph):
-    """``canonical_key`` of a graph already in canonical form."""
+    """``canonical_key`` of a graph already in canonical form.
+
+    The bits are the upper triangle of the adjacency matrix column by
+    column, (0, 1) first and most significant: graph6's body order, so
+    ``to_graph6`` packs any graph's body through this function too."""
     bits = 0
     for j in range(1, cf.n):
         for i in range(j):

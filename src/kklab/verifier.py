@@ -34,7 +34,7 @@ from .exact import (
     value_to_json,
 )
 from .expectation import _require_sparse, expected_copies, required_L
-from .graphs import Graph, max_density, to_graph6
+from .graphs import Graph, _span_mask, max_density, to_graph6
 from .util import PreconditionError, iter_bits
 
 
@@ -220,13 +220,7 @@ def peel_min_degree(
     """
     a = Fraction(a)
     masks = copies_as_edge_masks(H, F, copy_cap=copy_cap, node_budget=node_budget)
-    vsets = []
-    for m in masks:
-        vm = 0
-        for i in iter_bits(m):
-            x, y = H.edges[i]
-            vm |= (1 << x) | (1 << y)
-        vsets.append(vm)
+    vsets = [_span_mask(H, m) for m in masks]
     alive = list(range(len(vsets)))
     deg = [0] * H.n
     for vm in vsets:
@@ -516,13 +510,21 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
     rhs = Fraction(n) ** t
 
     def holds(ell: int) -> bool:
-        return value_cmp(value_pow(nq, t * ell + s), rhs) < 0
-
-    ell = 0
-    while holds(ell + 1):
-        ell += 1
-        if ell > 10**6:
+        ok = value_cmp(value_pow(nq, t * ell + s), rhs) < 0
+        if ok and ell > 10**6:
             raise RuntimeError("cutoff iteration failed to terminate")
+        return ok
+
+    # holds is monotone, as nq > 1: double past the cutoff, then bisect
+    ell, hi = 0, 1
+    while holds(hi):
+        ell, hi = hi, 2 * hi
+    while hi - ell > 1:
+        mid = (ell + hi) // 2
+        if holds(mid):
+            ell = mid
+        else:
+            hi = mid
     return EllHatResult(
         value=ell,
         n=n,

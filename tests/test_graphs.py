@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import pickle
+import random
 from fractions import Fraction
 from itertools import permutations
 
@@ -464,3 +465,72 @@ class TestOneAutomorphismSearch:
         monkeypatch.setattr(kklab.graphs, "canonical_form", refuse)
         c5 = cycle_graph(5)
         assert automorphism_count(disjoint_union(c5, c5, PRISM, PRISM)) == (10**2 * 2) * (12**2 * 2)
+
+
+# -- one home per encoding --------------------------------------------------
+
+
+class TestEdgeMaskCodec:
+    """An edge mask's bit i stands for g.edges[i]; the two graphs helpers
+    translate it to and from vertex masks."""
+
+    @pytest.mark.parametrize("v", range(1, 7))
+    def test_span_of_every_edge_mask(self, v):
+        for g in graphs_on(v):
+            for emask in range(1 << g.edge_count):
+                want = 0
+                for i, (a, b) in enumerate(g.edges):
+                    if emask >> i & 1:
+                        want |= 1 << a | 1 << b
+                assert kklab.graphs._span_mask(g, emask) == want, (to_graph6(g), emask)
+
+    @pytest.mark.parametrize("v", range(1, 7))
+    def test_edges_within_every_vertex_mask(self, v):
+        for g in graphs_on(v):
+            for vmask in range(1 << v):
+                inside = {x for x in range(v) if vmask >> x & 1}
+                want = sum(1 << i for i, e in enumerate(g.edges) if set(e) <= inside)
+                got = kklab.graphs._edge_mask_within(g, vmask)
+                assert got == want, (to_graph6(g), vmask)
+                assert got.bit_count() == kklab.graphs._edges_within(g, vmask)
+
+
+def has_edge_graph6(g) -> str:
+    """Reference graph6 encoder: one has_edge call per vertex pair."""
+    n = g.n
+    if n <= 62:
+        head = [n + 63]
+    elif n <= 258047:
+        head = [126, (n >> 12 & 63) + 63, (n >> 6 & 63) + 63, (n & 63) + 63]
+    else:
+        head = [126, 126] + [((n >> s) & 63) + 63 for s in (30, 24, 18, 12, 6, 0)]
+    bits = 0
+    nbits = n * (n - 1) // 2
+    k = nbits - 1
+    for j in range(1, n):
+        for i in range(j):
+            if g.has_edge(i, j):
+                bits |= 1 << k
+            k -= 1
+    nbytes = -(-nbits // 6)
+    if nbits:
+        bits <<= nbytes * 6 - nbits
+    body = [((bits >> (6 * (nbytes - 1 - i))) & 63) + 63 for i in range(nbytes)]
+    return bytes(head + body).decode("ascii")
+
+
+class TestGraph6BitOrder:
+    @pytest.mark.parametrize("v", range(1, 8))
+    def test_catalog(self, v):
+        for g in graphs_on(v):
+            assert to_graph6(g) == has_edge_graph6(g)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 60, 61, 62, 63, 64, 65, 69])
+    def test_random_graphs_across_the_header_boundary(self, n):
+        rng = random.Random(n)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        for density in (0.0, 0.1, 0.5, 1.0):
+            g = Graph(n, [p for p in pairs if rng.random() < density])
+            g6 = to_graph6(g)
+            assert g6 == has_edge_graph6(g)
+            assert parse_graph6(g6) == g

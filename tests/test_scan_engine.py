@@ -698,3 +698,15 @@ class TestNewlyReachableHost:
         lo, hi = report.enclosure
         assert is_q_sparse(H, n, Fraction(hi)).sparse
         assert not is_q_sparse(H, n, Fraction(lo) - Fraction(1, 10**12)).sparse
+
+
+class TestConnectedKeepTest:
+    """The line-graph grower keeps a child by its span alone, so the only
+    subset profiles heuristic mode builds are those of the sets it
+    classifies, one each."""
+
+    @pytest.mark.parametrize("H", [complete_graph(5), petersen_graph()], ids=["K5", "petersen"])
+    def test_profiles_only_the_classified_sets(self, monkeypatch, H):
+        builds, _ = count_profiles(monkeypatch)
+        classes = expectation._connected_classes(H, 5)
+        assert builds[0] == sum(count for count, _ in classes.values())

@@ -275,6 +275,56 @@ class TestEllHat:
             ell_hat(100, Fraction(1, 100), Fraction(1, 2))
 
 
+def linear_ell_hat(n, q, delta):
+    """ell_hat's cutoff by a linear scan: the largest l with
+    (nq)^(t*l + s) < n^t, delta = s/t, and the verdicts at l and l + 1."""
+    s, t = delta.numerator, delta.denominator
+    nq = value_mul(Fraction(n), q)
+
+    def holds(ell):
+        return value_cmp(value_pow(nq, t * ell + s), Fraction(n) ** t) < 0
+
+    ell = 0
+    while holds(ell + 1):
+        ell += 1
+    return ell, holds(ell), not holds(ell + 1)
+
+
+class TestEllHatSearch:
+    """ell_hat doubles and then bisects, since its condition is monotone."""
+
+    @pytest.mark.parametrize("n", range(2, 40))
+    def test_matches_the_linear_scan(self, n):
+        qs = [
+            Fraction(1, n) + Fraction(1, 97),
+            Fraction(1, 2),
+            Fraction(2, 3),
+            Fraction(3, n + 1),
+            make_value(Fraction(1, n), 2),
+        ]
+        deltas = [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3), Fraction(9, 10), Fraction(1, 100)]
+        for q in qs:
+            if value_cmp(q, Fraction(1, n)) <= 0 or value_cmp(q, 1) >= 0:
+                continue
+            for delta in deltas:
+                result = ell_hat(n, q, delta)
+                got = (result.value, result.at_value_ok, result.above_value_fails)
+                assert got == linear_ell_hat(n, q, delta), (n, q, delta)
+
+    def test_powers_taken(self, monkeypatch):
+        calls = [0]
+
+        def counted(x, k):
+            calls[0] += 1
+            return value_pow(x, k)
+
+        monkeypatch.setattr(kklab.verifier, "value_pow", counted)
+        result = ell_hat(10, Fraction(1001, 10000), Fraction(1, 2))
+        assert result.value == 2303
+        # the linear scan took one power per length, 2,306 in all
+        assert calls[0] <= 2 * result.value.bit_length() + 4
+
+
 class TestMainInequality:
     def test_strict_at_two(self):
         q = q_min(complete_graph(3), 10).threshold

@@ -16,20 +16,20 @@ Import layers: importing this module loads only the base layers that
 graph loading and the exit-code mapping need: ``util``, ``graphs`` and
 ``counting``.  ``counting`` is one of them because it owns
 ``ResourceGuardError``, which ``main`` maps to exit code 3, and because
-every upper layer imports it anyway.  ``exact`` and ``csv`` are imported
-by the argument converters, handlers and CSV renderers that use them, and
-each handler imports the upper layer it runs (``expectation``,
-``verifier``, ``montecarlo`` or ``search``) when it runs.  ``main`` builds
-the subparser of the one subcommand it runs.  So a command starts up on
-the layers it uses and no others: the graph-level commands (``aut``,
-``count``, ``pack``, ``gamma``, ``density``) on the three base layers,
-without ``exact``, ``csv`` or ``dataclasses``.
+every upper layer imports it anyway.  ``exact`` is imported by the
+argument converters and handlers that use it, ``csv`` by ``util.csv_text``
+when a table is rendered, and each handler imports the upper layer it
+runs (``expectation``, ``verifier``, ``montecarlo`` or ``search``) when
+it runs.  ``main`` builds the subparser of the one subcommand it runs.
+So a command starts up on the layers it uses and no others: the
+graph-level commands (``aut``, ``count``, ``pack``, ``gamma``,
+``density``) on the three base layers, without ``exact``, ``csv`` or
+``dataclasses``.
 """
 
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import re
 import sys
@@ -79,6 +79,7 @@ from .util import (
     SWEEP_VERTEX_CAP,
     EdgeCapError,
     PreconditionError,
+    csv_text,
 )
 
 SCHEMA = "kklab/1"
@@ -134,26 +135,24 @@ def _int_list(text: str) -> tuple:
 
 # -- graph loading -----------------------------------------------------------
 
-_TOKEN_RE = re.compile(r"^(K|C|P|star|empty)(\d+)$")
+# graph names: the sized families take a vertex count, the fixed graphs none
+_SIZED_GRAPHS = {
+    "K": complete_graph,
+    "C": cycle_graph,
+    "P": path_graph,
+    "star": star_graph,
+    "empty": empty_graph,
+}
+_FIXED_GRAPHS = {"petersen": petersen_graph, "bowtie": bowtie_graph}
+_TOKEN_RE = re.compile(rf"^({'|'.join(_SIZED_GRAPHS)})(\d+)$")
 
 
 def _graph_token(spec: str) -> Graph | None:
     m = _TOKEN_RE.match(spec)
     if m:
-        kind, num = m.group(1), int(m.group(2))
-        if kind == "K":
-            return complete_graph(num)
-        if kind == "C":
-            return cycle_graph(num)
-        if kind == "P":
-            return path_graph(num)
-        if kind == "star":
-            return star_graph(num)
-        return empty_graph(num)
-    if spec == "petersen":
-        return petersen_graph()
-    if spec == "bowtie":
-        return bowtie_graph()
+        return _SIZED_GRAPHS[m.group(1)](int(m.group(2)))
+    if spec in _FIXED_GRAPHS:
+        return _FIXED_GRAPHS[spec]()
     parts = spec.split(":")
     if parts[0] == "theta" and len(parts) == 4:
         return theta_graph(*(int(p) for p in parts[1:]))
@@ -276,16 +275,6 @@ def _emit(args, doc: dict, csv_table=None) -> None:
             fh.write(rendered)
     else:
         sys.stdout.write(rendered)
-
-
-def _csv(header: list, rows) -> str:
-    import csv
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
 
 
 # -- shared serializers ------------------------------------------------------
@@ -609,7 +598,7 @@ def _cmd_search(args):
         edge_cap=args.edge_cap,
         digits=args.precision,
     )
-    return result.to_json(), lambda: _csv(
+    return result.to_json(), lambda: csv_text(
         ["rank", "graph6", "score_lo", "score_hi", "N", "moves", "seed", "chain"],
         ([rank, to_graph6(e.graph), *e.enclosure, e.copies, e.moves, e.seed, e.chain]
          for rank, e in enumerate(result.entries)),
@@ -628,7 +617,7 @@ def _cmd_sweep(args):
         edge_cap=args.edge_cap,
         digits=args.precision,
     )
-    return result.to_json(), lambda: _csv(
+    return result.to_json(), lambda: csv_text(
         ["graph6", "score_lo", "score_hi", "N", "candidates", "sparse_candidates"],
         [[to_graph6(result.graph), *result.enclosure, result.copies, result.candidates,
           result.sparse_candidates]],
@@ -915,10 +904,7 @@ def main(argv=None) -> int:
         if exc.witness is not None:
             print(f"witness: {exc.witness}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (EdgeCapError, ResourceGuardError) as exc:

@@ -369,6 +369,10 @@ def copies_as_edge_masks(
     The cap is checked as each embedding is found, so an oversized copy
     list is refused without finishing the walk.
     """
+    return _edge_masks(host, pattern, copy_cap, _Budget(node_budget))
+
+
+def _edge_masks(host: Graph, pattern: Graph, copy_cap, budget: _Budget) -> list:
     if pattern.edge_count == 0:
         raise ValueError("packing needs a pattern with at least one edge")
     if pattern.n > host.n:
@@ -391,7 +395,7 @@ def copies_as_edge_masks(
             )
         return False
 
-    _run_embedding(host, pattern, _Budget(node_budget), add)
+    _run_embedding(host, pattern, budget, add)
     return sorted(masks)
 
 
@@ -402,13 +406,14 @@ def packing_number(
 
     mode="exact" runs branch and bound over the copy list with the
     free-edges/e_J bound; mode="greedy" scans copies in deterministic order
-    and reports the (lower-bound) greedy packing size.
+    and reports the (lower-bound) greedy packing size.  One node budget
+    covers the call: the walk that lists the copies spends it first, then
+    each branch-and-bound call spends one node.
     """
     if mode not in ("exact", "greedy"):
         raise ValueError("mode must be 'exact' or 'greedy'")
-    copies = copies_as_edge_masks(
-        host, pattern, copy_cap=copy_cap, node_budget=node_budget
-    )
+    budget = _Budget(node_budget)
+    copies = _edge_masks(host, pattern, copy_cap, budget)
     if not copies:
         return 0
     if mode == "greedy":
@@ -425,6 +430,7 @@ def packing_number(
 
     def bnb(idx: int, used: int, chosen: int):
         nonlocal best
+        budget.spend()
         if chosen > best:
             best = chosen
         free = total_edges - used.bit_count()

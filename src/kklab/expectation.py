@@ -504,21 +504,32 @@ def _connected_classes(H: Graph, vertex_cap: int) -> dict:
     so a second pass, over the line graph, reaches once, as an edge mask,
     each connected subgraph whose span is a set of the first pass that
     induces at most 18 edges (a test its connected parts pass too).
+    Past ``_PRUNED_MEMBER_CAP`` classified subgraphs it refuses, as the
+    pruned exact scan does.
     """
+    sparse = set()
+
+    def subgraphs():
+        for vset in _connected_sets(H.adj, lambda vset: vset.bit_count() <= vertex_cap):
+            if _edges_within(H, vset) <= 18:
+                sparse.add(vset)
+            else:
+                yield _edge_mask_within(H, vset)
+        # line[i]: the edges that share an endpoint with edge i
+        line = [
+            sum(1 << j for j, f in enumerate(H.edges) if j != i and set(e) & set(f))
+            for i, e in enumerate(H.edges)
+        ]
+        yield from _connected_sets(line, lambda m: _span_mask(H, m) in sparse)
+
     classes: dict = {}
     auts: dict = {}
-    sparse = set()
-    for vset in _connected_sets(H.adj, lambda vset: vset.bit_count() <= vertex_cap):
-        if _edges_within(H, vset) <= 18:
-            sparse.add(vset)
-        else:
-            _add_class(classes, *_class_of_mask(H, _edge_mask_within(H, vset), auts))
-    # line[i]: the edges that share an endpoint with edge i
-    line = [
-        sum(1 << j for j, f in enumerate(H.edges) if j != i and set(e) & set(f))
-        for i, e in enumerate(H.edges)
-    ]
-    for emask in _connected_sets(line, lambda m: _span_mask(H, m) in sparse):
+    for count, emask in enumerate(subgraphs(), 1):
+        if count > _PRUNED_MEMBER_CAP:
+            raise EdgeCapError(
+                f"heuristic scan classified more than {_PRUNED_MEMBER_CAP} connected "
+                "subgraphs; lower the heuristic vertex cap"
+            )
         _add_class(classes, *_class_of_mask(H, emask, auts))
     return classes
 

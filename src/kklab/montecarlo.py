@@ -26,14 +26,13 @@ may not run on ``getrandbits``) and den >= 256 draw per pair.
 
 Import layers: this module loads ``util``, ``graphs``, ``counting`` and
 ``exact``.  The generators import ``expectation`` (for ``is_q_sparse``)
-when they run, and ``trace_csv`` imports ``csv``, so ``kklab pc`` starts
-up without the subset-scan layer or the CSV writer.
+when they run, and ``trace_csv`` renders through ``util.csv_text``, so
+``kklab pc`` starts up without the subset-scan layer or ``csv``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import math
 import random
 from dataclasses import dataclass
@@ -59,6 +58,7 @@ from .util import (
     DEFAULT_TRIALS,
     GENERATOR_FAMILIES,
     PreconditionError,
+    csv_text,
 )
 
 
@@ -227,16 +227,11 @@ class EstimateResult:
         }
 
     def trace_csv(self) -> str:
-        import csv
-
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["probe", "p", "successes", "trials", "wilson_low", "wilson_high"])
-        for idx, pr in enumerate(self.probes):
-            writer.writerow(
-                [idx, format_fraction(pr.p), pr.successes, pr.trials, pr.wilson_low, pr.wilson_high]
-            )
-        return buf.getvalue()
+        return csv_text(
+            ["probe", "p", "successes", "trials", "wilson_low", "wilson_high"],
+            ([idx, format_fraction(pr.p), pr.successes, pr.trials, pr.wilson_low, pr.wilson_high]
+             for idx, pr in enumerate(self.probes)),
+        )
 
 
 def wilson_interval(successes: int, trials: int, confidence: float) -> tuple:

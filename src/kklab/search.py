@@ -168,14 +168,16 @@ def exhaustive_sweep(
     memo = _VerdictMemo(n, q, math.comb(v_cap, 2))
     sparse_count = 0
     best = None
+    # levels come in graph6 order (v, then _packed_key: graph6's body bits),
+    # so the first class with the most copies has the smallest graph6 string
     for level in _hereditary_levels(v_cap, lambda g: memo.certify(g, edge_cap)):
         sparse_count += len(level)
         for g in level:
-            row = (counter(g), to_graph6(g), g)
-            if best is None or row[0] > best[0] or (row[0] == best[0] and row[1] < best[1]):
-                best = row
+            copies = counter(g)
+            if best is None or copies > best[0]:
+                best = (copies, g)
     # feasibility guarantees at least the single edge survives
-    copies, _, graph = best
+    copies, graph = best
     rl = _required_L_of(copies, expected_copies(n, q, F), F.edge_count, digits)
     return SweepResult(
         graph=graph,
@@ -244,17 +246,9 @@ def _run_chain(pattern_edges, counter, budget, seed, chain_idx, host_cap, top_k,
             return 0.0
         return (copies / e_float) ** (1.0 / pattern_edges)
 
-    count_cache = {0: 0}
-
-    def counted(mask: int) -> int:
-        hit = count_cache.get(mask)
-        if hit is None:
-            hit = counter(host(mask))
-            count_cache[mask] = hit
-        return hit
-
-    # addition outcomes are deterministic in the candidate, so memoize:
-    # mask of H+uv -> (settled mask, None), or (None, rejection reason)
+    # mask of H+uv -> (settled mask, None), or (None, rejection reason).
+    # settle_addition also reads the toggled edge, which the key leaves out,
+    # so the first outcome per added host wins whichever edge was toggled.
     add_cache: dict = {}
 
     def settle_addition(mask: int, bit: int):
@@ -322,7 +316,7 @@ def _run_chain(pattern_edges, counter, budget, seed, chain_idx, host_cap, top_k,
                 continue
             if cand_mask != key:
                 repaired_moves += 1
-        cand_copies = counted(cand_mask)
+        cand_copies = counter(host(cand_mask))
         delta = score_float(cand_copies) - score_float(cur_copies)
         if delta >= 0:
             accept = True

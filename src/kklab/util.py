@@ -1,13 +1,13 @@
 """Small shared helpers and the names the command line reads at start-up.
 
-Besides bit iteration, this module holds the two refusal types every
-layer may raise (``PreconditionError`` and ``EdgeCapError``) and the
-defaults the CLI parser shows: the enclosure precision of ``exact``, the
-subset-scan caps of ``expectation``, the Monte Carlo defaults and
-generator families of ``montecarlo``, and the annealer and sweep limits
-of ``search``.  Those modules re-export them, so each name has one object
-wherever it is imported from, and building the parser imports none of
-those upper layers.
+Besides bit iteration and the one CSV writer, this module holds the two
+refusal types every layer may raise (``PreconditionError`` and
+``EdgeCapError``) and the defaults the CLI parser shows: the enclosure
+precision of ``exact``, the subset-scan caps of ``expectation``, the
+Monte Carlo defaults and generator families of ``montecarlo``, and the
+annealer and sweep limits of ``search``.  Those modules re-export them,
+so each name has one object wherever it is imported from, and building
+the parser imports none of those upper layers.
 """
 
 from fractions import Fraction
@@ -50,3 +50,16 @@ def iter_bits(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def csv_text(header, rows) -> str:
+    """The CSV table of a header row and rows, lines ending in a bare newline;
+    ``csv`` loads here, so only the commands that render a table load it."""
+    import csv
+    import io
+
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()

@@ -272,21 +272,17 @@ class FitRecord:
 
 
 def _prepare_tree(F: Graph):
-    """F relabeled into BFS order from vertex 0 (``perm`` old->new, None when
-    F is in that order already), each position's parent and child count."""
+    """F relabeled into BFS order from vertex 0 (``perm`` old->new), each
+    position's parent and child count."""
     if not F.is_tree():
         raise PreconditionError("pattern must be a tree")
     plan = _match_plan(F)
     # a tree's only earlier neighbor in BFS order is its parent
     parents = [earlier[0] if earlier else None for _, earlier in plan]
-    if all(v == i for i, (v, _) in enumerate(plan)):
-        Fn = F
-        perm = None
-    else:
-        perm = [0] * F.n
-        for new, (old, _) in enumerate(plan):
-            perm[old] = new
-        Fn = F.relabel(perm)
+    perm = [0] * F.n
+    for new, (old, _) in enumerate(plan):
+        perm[old] = new
+    Fn = F.relabel(perm)
     f = tuple(sum(1 for w in Fn.neighbors(i) if w > i) for i in range(Fn.n))
     return Fn, perm, parents, f
 
@@ -334,12 +330,10 @@ def fit_decompose(H: Graph, F: Graph, copy, eps, d) -> FitRecord:
     thr = _check_fit_threshold(Fn, eps, d)
     if len(copy) != Fn.n:
         raise PreconditionError("copy length does not match the tree")
-    if perm is not None:
-        remapped = [0] * Fn.n
-        for old, w in enumerate(copy):
-            remapped[perm[old]] = w
-        copy = remapped
-    copy = list(copy)
+    remapped = [0] * Fn.n
+    for old, w in enumerate(copy):
+        remapped[perm[old]] = w
+    copy = remapped
     if len(set(copy)) != len(copy) or not all(0 <= w < H.n for w in copy):
         raise PreconditionError("copy is not an embedding of the tree")
     for a, b in Fn.edges:

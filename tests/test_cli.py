@@ -518,6 +518,23 @@ class TestRefusals:
         )
         assert code == 3 and out == "" and "resource guard" in err
 
+    def test_pack_budget_covers_the_branch_and_bound(self, capsys):
+        # the copy walk takes 400 nodes, the branch and bound the rest
+        code, out, err = run(
+            capsys, "pack", "--graph", "K8", "--pattern", "K3", "--node-budget", "1000"
+        )
+        assert code == 3 and out == "" and "resource guard" in err
+
+    def test_heuristic_member_cap_refusal(self, capsys, monkeypatch):
+        from kklab import expectation
+
+        monkeypatch.setattr(expectation, "_PRUNED_MEMBER_CAP", 967)
+        code, out, err = run(
+            capsys, "qmin", "--graph", "K5", "--n", "7", "--mode", "heuristic",
+            "--heuristic-vertex-cap", "5",
+        )
+        assert code == 3 and out == "" and "resource guard" in err
+
     def test_repair_budget_exhaustion_is_a_refusal(self, capsys):
         code, _, err = run(
             capsys, "gen", "--family", "gnp-repair", "--n", "10", "--q", "1/10",

@@ -240,6 +240,15 @@ class TestResourceGuards:
         with pytest.raises(ResourceGuardError, match="copy list exceeds cap 1"):
             copies_as_edge_masks(complete_graph(14), path_graph(4), copy_cap=1, node_budget=1000)
 
+    def test_packing_spends_one_budget_on_walk_and_branch_and_bound(self):
+        # the copy walk of K3 in K8 takes 400 nodes; the branch and bound
+        # would take over 200,000 more
+        with pytest.raises(ResourceGuardError, match="node budget of 1000"):
+            packing_number(complete_graph(8), complete_graph(3), node_budget=1000)
+        # greedy spends only the walk's nodes
+        assert packing_number(complete_graph(8), complete_graph(3), mode="greedy",
+                              node_budget=1000) == 7
+
     def test_iter_labeled_refuses_on_the_frontier_estimate(self):
         # P3 in K8: the walk visits 8 + 56 + 336 + 1,680 = 2,080 nodes, but
         # the frontier estimate (8 * 7^3 = 2,744 homomorphisms) refuses first

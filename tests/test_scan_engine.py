@@ -315,6 +315,27 @@ class TestHeuristicMode:
         rows = [row for row in table_rows(report) if row[1] == 7]
         assert rows == [(to_graph6(H), 7, 19, automorphism_count(H), 1)]
 
+    def test_refuses_past_the_member_cap(self, monkeypatch):
+        # K5 at cap 5 classifies its 968 connected subgraphs
+        H = complete_graph(5)
+        monkeypatch.setattr(expectation, "_PRUNED_MEMBER_CAP", 968)
+        assert q_min(H, 7, mode="heuristic", heuristic_vertex_cap=5).lower_bound_only
+        monkeypatch.setattr(expectation, "_PRUNED_MEMBER_CAP", 967)
+        with pytest.raises(EdgeCapError, match="more than 967"):
+            q_min(H, 7, mode="heuristic", heuristic_vertex_cap=5)
+
+    def test_dense_vertex_sets_count_toward_the_member_cap(self, monkeypatch):
+        # the 19-edge host's full vertex set is classified by the first pass,
+        # so a cap of 0 refuses before the line-graph pass starts
+        def no_line_pass(*args):
+            raise AssertionError("the line-graph pass started")
+
+        monkeypatch.setattr(expectation, "_PRUNED_MEMBER_CAP", 0)
+        monkeypatch.setattr(expectation, "_span_mask", no_line_pass)
+        H = Graph(7, complete_graph(7).edges[:19])
+        with pytest.raises(EdgeCapError):
+            q_min(H, 9, mode="heuristic", heuristic_vertex_cap=7)
+
 
 class TestConnectedGrowth:
     """Heuristic mode grows each connected subgraph once, as a connected

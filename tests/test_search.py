@@ -267,6 +267,17 @@ class TestSparseLevels:
         # 763 when the densest part was found before the full set was tested
         assert len(flows) == 176
 
+    def test_levels_come_in_graph6_order(self):
+        # the sweep keeps the first class with the most copies as the one
+        # with the smallest graph6 string, which needs this order
+        q = q_min(complete_graph(3), 10).threshold
+        memo = expectation._VerdictMemo(10, q, math.comb(7, 2))
+        for keep, total in ((lambda g: True, 1252),
+                            (lambda g: memo.certify(g, DEFAULT_EDGE_CAP), 186)):
+            g6 = [to_graph6(g) for level in catalog._hereditary_levels(7, keep) for g in level]
+            assert len(g6) == total
+            assert all(a < b for a, b in zip(g6, g6[1:]))
+
     def test_candidates_come_from_the_count_table(self):
         assert catalog._GRAPH_COUNTS[:7] == tuple(len(graphs_on(v)) for v in range(1, 8))
         q = q_min(complete_graph(3), 10).threshold

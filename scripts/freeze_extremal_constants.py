@@ -3,8 +3,9 @@
 Runs the exhaustive small-host sweep for each canonical pattern at the
 pattern's own sparsity threshold, then checks that simulated annealing
 recovers the same maximizer score.  The printed table is the source of
-the frozen values asserted by the acceptance suite.  Exits 1 when any
-row's annealer disagrees with its sweep.
+the frozen values asserted by the acceptance suite: the graph count
+(cands), the q-sparse class count (sparse), the maximizer and its
+copies.  Exits 1 when any row's annealer disagrees with its sweep.
 """
 
 import argparse
@@ -34,7 +35,10 @@ def main(argv=None) -> int:
     ap.add_argument("--v-cap", type=int, default=6, help="host order cap for the sweep")
     args = ap.parse_args(argv)
 
-    header = f"{'pattern':8} {'n':>3} {'maximizer':>10} {'copies':>7} {'score':>16} {'anneal':>10} {'moves':>6} {'agree':>6}"
+    header = (
+        f"{'pattern':8} {'n':>3} {'cands':>6} {'sparse':>6} {'maximizer':>10} {'copies':>7} "
+        f"{'score':>16} {'anneal':>10} {'moves':>6} {'agree':>6}"
+    )
     print(header)
     print("-" * len(header))
     disagreements = 0
@@ -53,7 +57,8 @@ def main(argv=None) -> int:
         ) == 0
         disagreements += not agree
         print(
-            f"{label:8} {n:>3} {to_graph6(sweep.graph):>10} {sweep.copies:>7} "
+            f"{label:8} {n:>3} {sweep.candidates:>6} {sweep.sparse_candidates:>6} "
+            f"{to_graph6(sweep.graph):>10} {sweep.copies:>7} "
             f"{sweep.enclosure[0]:>16} {to_graph6(best.graph):>10} {best.moves:>6} "
             f"{'yes' if agree else 'NO':>6}  ({time.monotonic() - t0:.1f}s)"
         )

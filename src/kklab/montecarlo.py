@@ -246,13 +246,6 @@ def wilson_interval(successes: int, trials: int, confidence: float) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
-def _probe_successes(plan: TrialPlan, p: Fraction, probe_idx: int) -> int:
-    return sum(
-        contains(sample_gnp(plan.n, p, derive_rng(plan.seed, "pc", probe_idx, t)), plan.pattern)
-        for t in range(plan.trials)
-    )
-
-
 def estimate_pc(plan: TrialPlan, threads: int = 1) -> EstimateResult:
     """Bisect for the p where containment probability crosses one half.
 
@@ -266,17 +259,20 @@ def estimate_pc(plan: TrialPlan, threads: int = 1) -> EstimateResult:
     """
     lo, hi = Fraction(0), Fraction(1)
     probes = []
-    probe_idx = 0
     while hi - lo >= plan.tolerance:
         p = (lo + hi) / 2
-        successes = _probe_successes(plan, p, probe_idx)
+        i = len(probes)
+        # trial t of probe i draws from the stream labeled ("pc", i, t)
+        successes = sum(
+            contains(sample_gnp(plan.n, p, derive_rng(plan.seed, "pc", i, t)), plan.pattern)
+            for t in range(plan.trials)
+        )
         w_lo, w_hi = wilson_interval(successes, plan.trials, plan.confidence)
         probes.append(Probe(p, successes, plan.trials, w_lo, w_hi))
         if 2 * successes >= plan.trials:
             hi = p
         else:
             lo = p
-        probe_idx += 1
     p_hat = (lo + hi) / 2
     ci_lo = max((pr.p for pr in probes if pr.wilson_high < 0.5), default=Fraction(0))
     ci_hi = min((pr.p for pr in probes if pr.wilson_low > 0.5), default=Fraction(1))

@@ -231,141 +231,6 @@ class SearchResult:
         }
 
 
-def _run_chain(pattern_edges, counter, budget, seed, chain_idx, host_cap, top_k, cooling,
-               edge_cap, memo, e_float, report_strippable):
-    rng = derive_rng(seed, "search", chain_idx)
-    # the host is its pair mask: bit idx stands for pairs[idx], so the set
-    # bits in increasing order list the host's edges sorted
-    pairs = [(i, j) for i in range(host_cap) for j in range(i + 1, host_cap)]
-
-    def host(mask: int) -> Graph:
-        return Graph(host_cap, [pairs[idx] for idx in iter_bits(mask)])
-
-    def score_float(copies: int) -> float:
-        if copies == 0:
-            return 0.0
-        return (copies / e_float) ** (1.0 / pattern_edges)
-
-    # mask of H+uv -> (settled mask, None), or (None, rejection reason).
-    # settle_addition also reads the toggled edge, which the key leaves out,
-    # so the first outcome per added host wins whichever edge was toggled.
-    add_cache: dict = {}
-
-    def settle_addition(mask: int, bit: int):
-        """(mask, None) on success, else (None, rejection reason)."""
-        while True:
-            size = mask.bit_count()
-            if size <= memo.safe_edges(host_cap):
-                return mask, None
-            if size > edge_cap:
-                return None, "cap"
-            probe = host(mask)
-            # the toggled edge's index among the sorted edges
-            hit = next(memo.violations(probe, (mask & (bit - 1)).bit_count()), None)
-            if hit is None:
-                return mask, None
-            drop = 1 << pairs.index(_repair_edge(probe, hit[1]))
-            if drop == bit:
-                return None, "untoggle"
-            mask ^= drop
-
-    records: dict = {}
-
-    def record(mask: int, copies: int, moves: int) -> None:
-        shape = host(mask)
-        if report_strippable:
-            # the edgeless host reports as K1
-            shape = shape.induced([v for v in range(shape.n) if shape.adj[v]] or [0])
-        g6 = to_graph6(canonical_form(shape))
-        # copy counts are isomorphism invariant: a class keeps its first record
-        if g6 not in records:
-            records[g6] = (copies, moves, g6)
-        if len(records) > 8 * top_k:
-            kept = sorted(records.values(), key=lambda r: (-r[0], r[2]))[: 4 * top_k]
-            records.clear()
-            records.update({r[2]: r for r in kept})
-
-    cur_mask = 0
-    cur_copies = 0
-    record(cur_mask, 0, 0)
-
-    temperature = None
-    calibrated_t0 = None
-    warmup: list = []
-    accepted = 0
-    audited = 0
-    repaired_moves = 0
-    repair_rejections = 0
-    unverifiable = 0
-    record_gate = 0
-
-    for step in range(1, budget + 1):
-        bit = 1 << rng.randrange(len(pairs))
-        if cur_mask & bit:
-            cand_mask = cur_mask ^ bit
-        else:
-            key = cur_mask | bit
-            if key not in add_cache:
-                add_cache[key] = settle_addition(key, bit)
-            cand_mask, why = add_cache[key]
-            if cand_mask is None:
-                if why == "cap":
-                    unverifiable += 1
-                else:
-                    repair_rejections += 1
-                continue
-            if cand_mask != key:
-                repaired_moves += 1
-        cand_copies = counter(host(cand_mask))
-        delta = score_float(cand_copies) - score_float(cur_copies)
-        if delta >= 0:
-            accept = True
-        elif temperature is None:
-            warmup.append(-delta)
-            accept = rng.random() < 0.5
-            if len(warmup) >= WARMUP_DOWNHILL:
-                mid = sorted(warmup)[len(warmup) // 2]
-                calibrated_t0 = mid / math.log(2) if mid > 0 else 1.0
-                temperature = calibrated_t0
-        else:
-            # a temperature cooled to 0.0 rejects every downhill move, after
-            # the same draw, so the stream does not depend on the underflow
-            draw = rng.random()
-            accept = temperature > 0.0 and draw < math.exp(delta / temperature)
-        if not accept:
-            continue
-        cur_mask, cur_copies = cand_mask, cand_copies
-        accepted += 1
-        if temperature is not None:
-            temperature *= cooling
-        if accepted % 100 == 0:
-            audited += 1
-            if not memo.certify(host(cur_mask), edge_cap):
-                raise RuntimeError(
-                    f"audit failed: accepted host is not q-sparse after move {step}"
-                )
-        if cur_copies >= record_gate:
-            record(cur_mask, cur_copies, step)
-            if len(records) >= top_k:
-                record_gate = sorted(
-                    (r[0] for r in records.values()), reverse=True
-                )[top_k - 1]
-
-    meta = {
-        "chain": chain_idx,
-        "budget": budget,
-        "accepted": accepted,
-        "audited": audited,
-        "repaired_moves": repaired_moves,
-        "repair_rejections": repair_rejections,
-        "unverifiable_rejections": unverifiable,
-        "initial_temperature": calibrated_t0,
-        "final_temperature": temperature,
-    }
-    rows = sorted(records.values(), key=lambda r: (-r[0], r[2]))[: 2 * top_k]
-    return rows, meta
-
-
 def extremal_search(
     n: int,
     q,
@@ -390,8 +255,9 @@ def extremal_search(
     then set to the median warmup loss so that acceptance continues near
     one half, and cooling is geometric per accepted move.  Each chain
     draws from its own seeded stream, so identical arguments and seed give
-    an identical leaderboard.  ``threads`` is accepted for compatibility
-    and ignored: chains run one after another.
+    an identical leaderboard.  The chains run one after another and record
+    into one shared leaderboard, where a host class keeps its first record
+    in chain order.  ``threads`` is accepted for compatibility and ignored.
     """
     _check_pattern(F)
     if budget < 0:
@@ -417,26 +283,146 @@ def extremal_search(
     # verdicts at (n, q) do not depend on the chain, so the chains share one memo
     memo = _VerdictMemo(n, q, math.comb(host_cap, 2))
     report_strippable = all(F.adj[v] for v in range(F.n))
+    # the host is its pair mask: bit idx stands for pairs[idx], so the set
+    # bits in increasing order list the host's edges sorted
+    pairs = [(i, j) for i in range(host_cap) for j in range(i + 1, host_cap)]
 
+    def host(mask: int) -> Graph:
+        return Graph(host_cap, [pairs[idx] for idx in iter_bits(mask)])
+
+    def score_float(copies: int) -> float:
+        if copies == 0:
+            return 0.0
+        return (copies / e_float) ** (1.0 / F.edge_count)
+
+    def settle_addition(mask: int, bit: int):
+        """(mask, None) on success, else (None, rejection reason)."""
+        while True:
+            size = mask.bit_count()
+            if size <= memo.safe_edges(host_cap):
+                return mask, None
+            if size > edge_cap:
+                return None, "cap"
+            probe = host(mask)
+            # the toggled edge's index among the sorted edges
+            hit = next(memo.violations(probe, (mask & (bit - 1)).bit_count()), None)
+            if hit is None:
+                return mask, None
+            drop = 1 << pairs.index(_repair_edge(probe, hit[1]))
+            if drop == bit:
+                return None, "untoggle"
+            mask ^= drop
+
+    # graph6 -> (copies, chain, moves), shared by all chains
+    records: dict = {}
+
+    def ranked(limit: int) -> list:
+        return sorted(records.items(), key=lambda kv: (-kv[1][0], kv[0]))[:limit]
+
+    def record(mask: int, copies: int, chain_idx: int, moves: int) -> None:
+        shape = host(mask)
+        if report_strippable:
+            # the edgeless host reports as K1
+            shape = shape.induced([v for v in range(shape.n) if shape.adj[v]] or [0])
+        g6 = to_graph6(canonical_form(shape))
+        # copy counts are isomorphism invariant: a class keeps its first
+        # record in chain order
+        if g6 not in records:
+            records[g6] = (copies, chain_idx, moves)
+        if len(records) > 8 * top_k:
+            kept = ranked(4 * top_k)
+            records.clear()
+            records.update(kept)
+
+    # a host below the top_k-th recorded count can never reach the top_k
+    record_gate = 0
+    chain_stats = []
     base, extra = divmod(budget, chains)
-    outcomes = [
-        _run_chain(F.edge_count, counter, base + (1 if idx < extra else 0), seed, idx,
-                   host_cap, top_k, cooling, edge_cap, memo, e_float, report_strippable)
-        for idx in range(chains)
-    ]
+    for chain_idx in range(chains):
+        rng = derive_rng(seed, "search", chain_idx)
+        chain_budget = base + (chain_idx < extra)
+        # mask of H+uv -> settle_addition's outcome, emptied per chain.  The
+        # key leaves out the toggled edge, which settle_addition also reads,
+        # so the first outcome per added host wins whichever edge was toggled.
+        add_cache: dict = {}
+        cur_mask = 0
+        cur_copies = 0
+        record(cur_mask, 0, chain_idx, 0)
+        temperature = None
+        calibrated_t0 = None
+        warmup: list = []
+        accepted = 0
+        audited = 0
+        repaired_moves = 0
+        repair_rejections = 0
+        unverifiable = 0
 
-    merged: dict = {}
-    for chain_idx, (rows, _) in enumerate(outcomes):
-        for copies, moves, g6 in rows:
-            prev = merged.get(g6)
-            if prev is None or copies > prev[0] or (
-                copies == prev[0] and (chain_idx, moves) < prev[1:]
-            ):
-                merged[g6] = (copies, chain_idx, moves)
-    ranked = sorted(merged.items(), key=lambda kv: (-kv[1][0], kv[0]))[:top_k]
+        for step in range(1, chain_budget + 1):
+            bit = 1 << rng.randrange(len(pairs))
+            if cur_mask & bit:
+                cand_mask = cur_mask ^ bit
+            else:
+                key = cur_mask | bit
+                if key not in add_cache:
+                    add_cache[key] = settle_addition(key, bit)
+                cand_mask, why = add_cache[key]
+                if cand_mask is None:
+                    if why == "cap":
+                        unverifiable += 1
+                    else:
+                        repair_rejections += 1
+                    continue
+                if cand_mask != key:
+                    repaired_moves += 1
+            cand_copies = counter(host(cand_mask))
+            delta = score_float(cand_copies) - score_float(cur_copies)
+            if delta >= 0:
+                accept = True
+            elif temperature is None:
+                warmup.append(-delta)
+                accept = rng.random() < 0.5
+                if len(warmup) >= WARMUP_DOWNHILL:
+                    mid = sorted(warmup)[len(warmup) // 2]
+                    calibrated_t0 = mid / math.log(2) if mid > 0 else 1.0
+                    temperature = calibrated_t0
+            else:
+                # a temperature cooled to 0.0 rejects every downhill move, after the
+                # same draw, so the stream does not depend on the underflow
+                draw = rng.random()
+                accept = temperature > 0.0 and draw < math.exp(delta / temperature)
+            if not accept:
+                continue
+            cur_mask, cur_copies = cand_mask, cand_copies
+            accepted += 1
+            if temperature is not None:
+                temperature *= cooling
+            if accepted % 100 == 0:
+                audited += 1
+                if not memo.certify(host(cur_mask), edge_cap):
+                    raise RuntimeError(
+                        f"audit failed: accepted host is not q-sparse after move {step}"
+                    )
+            if cur_copies >= record_gate:
+                record(cur_mask, cur_copies, chain_idx, step)
+                if len(records) >= top_k:
+                    record_gate = sorted(
+                        (r[0] for r in records.values()), reverse=True
+                    )[top_k - 1]
+
+        chain_stats.append({
+            "chain": chain_idx,
+            "budget": chain_budget,
+            "accepted": accepted,
+            "audited": audited,
+            "repaired_moves": repaired_moves,
+            "repair_rejections": repair_rejections,
+            "unverifiable_rejections": unverifiable,
+            "initial_temperature": calibrated_t0,
+            "final_temperature": temperature,
+        })
 
     entries = []
-    for g6, (copies, chain_idx, moves) in ranked:
+    for g6, (copies, chain_idx, moves) in ranked(top_k):
         rl = _required_L_of(copies, expectation, F.edge_count, digits)
         entries.append(
             LeaderboardEntry(
@@ -464,6 +450,6 @@ def extremal_search(
         "edge_cap": edge_cap,
         "safe_edge_bound": memo.safe_edges(host_cap),
         "expectation": value_to_json(expectation, digits),
-        "chain_stats": [meta for _, meta in outcomes],
+        "chain_stats": chain_stats,
     }
     return SearchResult(entries=tuple(entries), metadata=metadata)

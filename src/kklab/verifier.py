@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import (
+    ResourceGuardError,
     _match_plan,
     copies_as_edge_masks,
     iter_labeled,
@@ -478,6 +479,9 @@ def count_legal_sequences(f, eps, d, D: int, d_cap: int) -> LegalCount:
 
 # -- path-length cutoff -----------------------------------------------------------
 
+# ell_hat refuses once the cutoff is known to exceed this
+_ELL_HAT_CAP = 10**6
+
 
 @dataclass(frozen=True)
 class EllHatResult:
@@ -493,6 +497,7 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
 
     Rewriting n^(1-delta*c) as n*(nq)^(-delta) removes c: with delta = s/t
     the condition is (nq)^(t*l+s) < n^t, decided by exact integer powers.
+    A cutoff above 10^6 is refused with ``ResourceGuardError``.
     """
     delta = Fraction(delta)
     if not (0 < delta < 1):
@@ -505,8 +510,8 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
 
     def holds(ell: int) -> bool:
         ok = value_cmp(value_pow(nq, t * ell + s), rhs) < 0
-        if ok and ell > 10**6:
-            raise RuntimeError("cutoff iteration failed to terminate")
+        if ok and ell > _ELL_HAT_CAP:
+            raise ResourceGuardError(f"path-length cutoff exceeds {_ELL_HAT_CAP}")
         return ok
 
     # holds is monotone, as nq > 1: double past the cutoff, then bisect

@@ -391,11 +391,19 @@ SEEDED_OUTPUTS = {
         ("sweep", "--pattern", "K3", "--n", "10", "--q", "root:120:3", "--v-cap", "7"),
         "19df1ebce00571e0c495d42ba4d017df1cf34d85c431c406065e13d0628e915c",
     ),
-    # three chains merged into one leaderboard
+    # three chains recording into one leaderboard
     "search-K3-chains": (
         ("search", "--pattern", "K3", "--n", "10", "--q", "root:120:3",
          "--host-cap", "8", "--budget", "600", "--seed", "5", "--chains", "3"),
         "1354ce7bb74ebae287dd7d614edd57cd89c993dc9b4f8233fee88ed286970e2b",
+    ),
+    # the same chains at top-k 1: the leaderboard trims 38 times and keeps
+    # chain 1's record at move 188
+    "search-K3-chains-top1": (
+        ("search", "--pattern", "K3", "--n", "10", "--q", "root:120:3",
+         "--host-cap", "8", "--budget", "600", "--seed", "5", "--chains", "3",
+         "--top-k", "1"),
+        "b0de3deb39570b87148dbe726b6ea0f6727a0d813b75b375b3927a877f2ca199",
     ),
     # 35 additions rejected because the edge cap forbids certifying them
     "search-K3-edge-cap": (
@@ -532,6 +540,16 @@ class TestRefusals:
         code, out, err = run(
             capsys, "qmin", "--graph", "K5", "--n", "7", "--mode", "heuristic",
             "--heuristic-vertex-cap", "5",
+        )
+        assert code == 3 and out == "" and "resource guard" in err
+
+    def test_ellhat_cap_refusal(self, capsys, monkeypatch):
+        from kklab import verifier
+
+        # the cutoff at this q is 23,026
+        monkeypatch.setattr(verifier, "_ELL_HAT_CAP", 10)
+        code, out, err = run(
+            capsys, "ellhat", "--n", "10", "--q", "10001/100000", "--delta", "1/2"
         )
         assert code == 3 and out == "" and "resource guard" in err
 

@@ -28,6 +28,16 @@ class TestFreezeExtremalConstants:
         rows = capsys.readouterr().out.splitlines()[2:]
         assert len(rows) == 3 and all(" NO " in row for row in rows)
 
+    def test_prints_frozen_candidate_counts(self, capsys):
+        freeze = load_script("freeze_extremal_constants")
+        freeze.main(["--budget", "1", "--v-cap", "6"])
+        rows = [row.split() for row in capsys.readouterr().out.splitlines()[2:]]
+        # criterion 7 freezes these: 208 graphs on at most 6 vertices and
+        # 82, 54, 25 q-sparse classes among them for K3, C4 and P3
+        assert [(row[0], row[2], row[3]) for row in rows] == [
+            ("K3", "208", "82"), ("C4", "208", "54"), ("P3", "208", "25"),
+        ]
+
 
 class TestProbeThresholds:
     def test_broken_order_exits_one(self, monkeypatch, capsys):

@@ -23,8 +23,9 @@ runs (``expectation``, ``verifier``, ``montecarlo`` or ``search``) when
 it runs.  ``main`` builds the subparser of the one subcommand it runs.
 So a command starts up on the layers it uses and no others: the
 graph-level commands (``aut``, ``count``, ``pack``, ``gamma``,
-``density``) on the three base layers, without ``exact``, ``csv`` or
-``dataclasses``.
+``density``) on the three base layers, without ``exact`` or ``csv``.
+No command loads ``dataclasses``: every result record is a
+``util.Record``.
 """
 
 from __future__ import annotations

@@ -130,12 +130,17 @@ def _run_embedding(host: Graph, pattern: Graph, budget, on_hit=None):
     embeddings visited.  With no on_hit the walk only counts: the last
     step's candidates are counted by popcount and spent in bulk.
     """
+    return _walk(host.adj, pattern, budget, on_hit)
+
+
+def _walk(adj, pattern: Graph, budget, on_hit=None):
+    # _run_embedding's walk on the host's adjacency masks alone, so a
+    # caller holding only masks (a Monte Carlo trial) builds no Graph
     plan = _match_plan(pattern)
     k = len(plan)
-    adj = host.adj
     # the degree test depends only on the step: fit[idx] holds the host
     # vertices of degree at least that of the step's pattern vertex
-    degs = host.degrees()
+    degs = [m.bit_count() for m in adj]
     needs = [pattern.degree(v) for v, _ in plan]
     fit_of = {need: sum(1 << w for w, d in enumerate(degs) if d >= need) for need in set(needs)}
     fit = [fit_of[need] for need in needs]
@@ -169,6 +174,12 @@ def _run_embedding(host: Graph, pattern: Graph, budget, on_hit=None):
 
     walk(0, 0)
     return hits
+
+
+def _has_copy(adj, pattern: Graph, node_budget=None) -> bool:
+    # the existence walk shared by ``contains`` and the Monte Carlo
+    # trials: stops at the first embedding
+    return _walk(adj, pattern, _Budget(node_budget), lambda a: True) > 0
 
 
 def _embedding_budget(host: Graph, pattern: Graph, node_budget):
@@ -223,8 +234,7 @@ def contains(host: Graph, pattern: Graph, node_budget=None) -> bool:
         return False
     if pattern.edge_count > host.edge_count:
         return False
-    budget = _Budget(node_budget)
-    return _run_embedding(host, pattern, budget, lambda a: True) > 0
+    return _has_copy(host.adj, pattern, node_budget)
 
 
 def count_copies(host: Graph, pattern: Graph, node_budget=None, threads: int = 1) -> int:

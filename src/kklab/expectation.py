@@ -58,7 +58,6 @@ score the hosts they certified from the copies they counted.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from itertools import takewhile
@@ -90,6 +89,7 @@ from .util import (
     DEFAULT_HEURISTIC_VERTEX_CAP,
     EdgeCapError,
     PreconditionError,
+    Record,
 )
 
 
@@ -358,8 +358,7 @@ def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
 # -- threshold reports ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ThresholdClass:
+class ThresholdClass(Record):
     descriptor: str
     v: int
     e: int
@@ -368,8 +367,7 @@ class ThresholdClass:
     threshold: ExactValue
 
 
-@dataclass(frozen=True)
-class SparsityReport:
+class SparsityReport(Record):
     """Threshold certificate: max over subgraph classes of (aut/(t*(n)_v))^(1/e).
 
     target_den = 1 certifies q-sparseness (threshold is the least sparse q);
@@ -586,8 +584,7 @@ def expectation_threshold(
 # -- sparsity verdicts ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SparseCheck:
+class SparseCheck(Record):
     sparse: bool
     n: int
     q: ExactValue
@@ -811,8 +808,7 @@ def _require_sparse(H: Graph, n: int, q) -> None:
 # -- conjecture constant ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RequiredL:
+class RequiredL(Record):
     """Least L with N(H,F) = E_{Lq}X_F, i.e. (N(H,F)/E_qX_F)^(1/e_F)."""
 
     value: ExactValue

@@ -25,7 +25,7 @@ and the labeling tries one vertex per twin class at each position.
 import math
 from fractions import Fraction
 
-from .util import iter_bits
+from .util import Record, iter_bits
 
 
 class GraphParseError(ValueError):
@@ -394,48 +394,16 @@ def _is_int(tok: str) -> bool:
 # -- density -------------------------------------------------------------------
 
 
-class DensityValue:
-    """An achieved density e(U)/|U| together with its witness vertex set.
+class DensityValue(Record):
+    """An achieved density e(U)/|U| together with its witness vertex set."""
 
-    An immutable value, equal and hashed by (numerator, denominator,
-    witness) as a frozen dataclass would be; it is written out by hand so
-    that graph loading does not import ``dataclasses``.
-    """
+    numerator: int
+    denominator: int
+    witness: tuple
 
-    __slots__ = ("numerator", "denominator", "witness")
-
-    def __init__(self, numerator: int, denominator: int, witness: tuple):
-        if denominator < 1 or not witness:
+    def __post_init__(self):
+        if self.denominator < 1 or not self.witness:
             raise ValueError("density witness must be nonempty")
-        object.__setattr__(self, "numerator", numerator)
-        object.__setattr__(self, "denominator", denominator)
-        object.__setattr__(self, "witness", witness)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def _fields(self) -> tuple:
-        return self.numerator, self.denominator, self.witness
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        return (
-            f"{self.__class__.__qualname__}(numerator={self.numerator!r}, "
-            f"denominator={self.denominator!r}, witness={self.witness!r})"
-        )
-
-    def __reduce__(self):
-        return self.__class__, self._fields()
 
     @property
     def value(self) -> Fraction:

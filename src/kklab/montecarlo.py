@@ -24,10 +24,22 @@ It never draws a word the per-pair loop would not, so the pairs kept and
 the generator's end state are the same.  Subclasses (whose ``randrange``
 may not run on ``getrandbits``) and den >= 256 draw per pair.
 
+``estimate_pc``'s trials run on the same sampler core but keep no
+``Graph``: each trial ORs its kept pairs into adjacency masks and runs the
+walker's existence check on them, and only when it kept at least as many
+pairs as the pattern has edges.  Its batched rounds read ahead, asking
+for about twice the words still missing and keeping the first C(n,2)
+accepted bytes.  That is exact: ``getrandbits(32k)`` returns the same k
+words, least significant first, as k separate 32-bit draws, so the
+accepted prefix is the one the per-pair loop would see.  Only the
+generator's end state differs, and each trial's stream is derived for it
+alone and dropped afterwards.
+
 Import layers: this module loads ``util``, ``graphs``, ``counting`` and
 ``exact``.  The generators import ``expectation`` (for ``is_q_sparse``)
-when they run, and ``trace_csv`` renders through ``util.csv_text``, so
-``kklab pc`` starts up without the subset-scan layer or ``csv``.
+when they run, ``trace_csv`` renders through ``util.csv_text``, and the
+result records are ``util.Record``s, so ``kklab pc`` starts up without
+the subset-scan layer, ``csv`` or ``dataclasses``.
 """
 
 from __future__ import annotations
@@ -35,13 +47,12 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, compress
 from statistics import NormalDist
 
-from .counting import ResourceGuardError, contains
+from .counting import ResourceGuardError, _has_copy
 from .exact import Root, format_fraction, value_cmp, value_mul
 from .graphs import (
     Graph,
@@ -58,6 +69,7 @@ from .util import (
     DEFAULT_TRIALS,
     GENERATOR_FAMILIES,
     PreconditionError,
+    Record,
     csv_text,
 )
 
@@ -129,6 +141,28 @@ def _gnp_plan(n: int, p) -> tuple:
     return pairs, p, (reject, keep)
 
 
+def _kept_pairs(pairs: tuple, p, tables, rng: random.Random, read_ahead: bool = False):
+    # the pairs G(n,p) keeps, in lexicographic order, from the plan's pairs,
+    # p and byte tables.  read_ahead asks each batched round for about
+    # twice the words still missing: the accepted prefix is the same, only
+    # the generator's end state differs (see the module docstring)
+    if isinstance(p, Root):
+        return [e for e in pairs if _dyadic_draw(rng, p)]
+    if p == 0 or p == 1:
+        return pairs if p else ()
+    if tables is None or type(rng) is not random.Random:
+        num, den, randrange = p.numerator, p.denominator, rng.randrange
+        return [e for e in pairs if randrange(den) < num]
+    reject, keep = tables
+    getrandbits, accepted = rng.getrandbits, b""
+    while need := len(pairs) - len(accepted):
+        ask = 2 * need + 16 if read_ahead else need
+        # word i of the draw is the i-th least significant 32 bits
+        words = getrandbits(32 * ask).to_bytes(4 * ask, "little")
+        accepted = (accepted + words[3::4].translate(None, reject))[:len(pairs)]
+    return compress(pairs, accepted.translate(keep))
+
+
 def sample_gnp(n: int, p, rng: random.Random) -> Graph:
     """Sample G(n,p): each of the C(n,2) pairs kept independently.
 
@@ -140,28 +174,13 @@ def sample_gnp(n: int, p, rng: random.Random) -> Graph:
     one 32-bit word per draw still missing (see the module docstring).
     p is checked and the pair list built once per (n, p).
     """
-    pairs, p, tables = _gnp_plan(n, p)
-    if isinstance(p, Root):
-        return Graph(n, [e for e in pairs if _dyadic_draw(rng, p)])
-    if p == 0 or p == 1:
-        return Graph(n, pairs if p else [])
-    if tables is None or type(rng) is not random.Random:
-        num, den, randrange = p.numerator, p.denominator, rng.randrange
-        return Graph(n, [e for e in pairs if randrange(den) < num])
-    reject, keep = tables
-    getrandbits, accepted = rng.getrandbits, b""
-    while need := len(pairs) - len(accepted):
-        # word i of the draw is the i-th least significant 32 bits
-        words = getrandbits(32 * need).to_bytes(4 * need, "little")
-        accepted += words[3::4].translate(None, reject)
-    return Graph(n, compress(pairs, accepted.translate(keep)))
+    return Graph(n, _kept_pairs(*_gnp_plan(n, p), rng))
 
 
 # -- threshold estimation ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialPlan:
+class TrialPlan(Record):
     """Everything that determines an estimation run; equal plans give equal output."""
 
     n: int
@@ -186,8 +205,7 @@ class TrialPlan:
             )
 
 
-@dataclass(frozen=True)
-class Probe:
+class Probe(Record):
     p: Fraction
     successes: int
     trials: int
@@ -195,8 +213,7 @@ class Probe:
     wilson_high: float
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(Record):
     """Bisection outcome: point estimate, p-interval, and the full probe trace."""
 
     plan: TrialPlan
@@ -246,6 +263,17 @@ def wilson_interval(successes: int, trials: int, confidence: float) -> tuple:
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+def _trial(n: int, gnp: tuple, F: Graph, rng: random.Random) -> bool:
+    # contains(sample_gnp(n, p, rng), F) for gnp = _gnp_plan(n, p), with
+    # the sample kept only as adjacency masks and its draws read ahead
+    adj, e = [0] * n, 0
+    for a, b in _kept_pairs(*gnp, rng, read_ahead=True):
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+        e += 1
+    return e >= F.edge_count and _has_copy(adj, F)
+
+
 def estimate_pc(plan: TrialPlan, threads: int = 1) -> EstimateResult:
     """Bisect for the p where containment probability crosses one half.
 
@@ -262,9 +290,10 @@ def estimate_pc(plan: TrialPlan, threads: int = 1) -> EstimateResult:
     while hi - lo >= plan.tolerance:
         p = (lo + hi) / 2
         i = len(probes)
+        gnp = _gnp_plan(plan.n, p)
         # trial t of probe i draws from the stream labeled ("pc", i, t)
         successes = sum(
-            contains(sample_gnp(plan.n, p, derive_rng(plan.seed, "pc", i, t)), plan.pattern)
+            _trial(plan.n, gnp, plan.pattern, derive_rng(plan.seed, "pc", i, t))
             for t in range(plan.trials)
         )
         w_lo, w_hi = wilson_interval(successes, plan.trials, plan.confidence)

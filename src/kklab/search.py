@@ -13,7 +13,6 @@ step, and a simulated annealer over edge toggles on a fixed vertex budget
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import _GRAPH_COUNTS, _hereditary_levels
@@ -36,6 +35,7 @@ from .util import (
     SWEEP_VERTEX_CAP,
     EdgeCapError,  # re-exported from its old home
     PreconditionError,
+    Record,
     iter_bits,
 )
 
@@ -101,8 +101,7 @@ def certified_sparse(g: Graph, n: int, q, edge_cap: int = DEFAULT_EDGE_CAP) -> b
 # -- exhaustive sweep ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(Record):
     """Exact argmax of required_L over the q-sparse graphs on at most v_cap
     vertices.
 
@@ -195,8 +194,7 @@ def exhaustive_sweep(
 # -- simulated annealing ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LeaderboardEntry:
+class LeaderboardEntry(Record):
     graph: Graph
     copies: int
     score: object
@@ -219,8 +217,7 @@ class LeaderboardEntry:
         }
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     entries: tuple
     metadata: dict
 

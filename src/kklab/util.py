@@ -1,11 +1,12 @@
 """Small shared helpers and the names the command line reads at start-up.
 
-Besides bit iteration and the one CSV writer, this module holds the two
-refusal types every layer may raise (``PreconditionError`` and
-``EdgeCapError``) and the defaults the CLI parser shows: the enclosure
-precision of ``exact``, the subset-scan caps of ``expectation``, the
-Monte Carlo defaults and generator families of ``montecarlo``, and the
-annealer and sweep limits of ``search``.  Those modules re-export them,
+Besides bit iteration, the one CSV writer and ``Record``, the frozen-record
+base every result type is built on, this module holds the two refusal
+types every layer may raise (``PreconditionError`` and ``EdgeCapError``)
+and the defaults the CLI parser shows: the enclosure precision of
+``exact``, the subset-scan caps of ``expectation``, the Monte Carlo
+defaults and generator families of ``montecarlo``, and the annealer and
+sweep limits of ``search``.  Those modules re-export them,
 so each name has one object wherever it is imported from, and building
 the parser imports none of those upper layers.
 """
@@ -42,6 +43,80 @@ class PreconditionError(ValueError):
 
 class EdgeCapError(RuntimeError):
     """Exact subset scan refused; use heuristic mode or raise the cap."""
+
+
+class _RecordType(type):
+    # turns a class body's annotated names into slots, in order, and takes
+    # their values out of the body as constructor defaults
+    def __new__(mcls, name, bases, namespace):
+        fields = tuple(namespace.get("__annotations__", ()))
+        namespace["_defaults"] = {f: namespace.pop(f) for f in fields if f in namespace}
+        namespace["__slots__"] = namespace["_fields"] = fields
+        return super().__new__(mcls, name, bases, namespace)
+
+
+_set_field = object.__setattr__
+
+
+class Record(metaclass=_RecordType):
+    """An immutable value whose fields are the annotated names of its class
+    body, in order; a value written after a name is its default.
+
+    It behaves as a frozen dataclass of those fields would: the constructor
+    takes them positionally or by keyword and refuses a missing or unknown
+    one with ``TypeError``, then calls ``__post_init__``; ``==``, ``hash``
+    and ``repr`` read the field tuple; assignment and deletion raise
+    ``AttributeError``; and values pickle and copy.  It exists so that no
+    command imports ``dataclasses`` to define its results.
+    """
+
+    def __init__(self, *args, **kwargs):
+        name = self.__class__.__name__
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{name}() takes {len(fields)} positional arguments but {len(args)} were given"
+            )
+        for field, value in zip(fields, args):
+            _set_field(self, field, value)
+        for field in fields[len(args):]:
+            if field in kwargs:
+                value = kwargs.pop(field)
+            elif field in self._defaults:
+                value = self._defaults[field]
+            else:
+                raise TypeError(f"{name}() missing required argument: {field!r}")
+            _set_field(self, field, value)
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, field) for field in self._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{field}={getattr(self, field)!r}" for field in self._fields)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 def iter_bits(mask: int):

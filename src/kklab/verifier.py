@@ -13,7 +13,6 @@ exceeds log2 7); reports note when q is outside the guaranteed regime.
 """
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .counting import (
@@ -36,11 +35,10 @@ from .exact import (
 )
 from .expectation import _require_sparse, expected_copies, required_L
 from .graphs import Graph, _span_mask, max_density, to_graph6
-from .util import PreconditionError, iter_bits
+from .util import PreconditionError, Record, iter_bits
 
 
-@dataclass(frozen=True)
-class PropositionReport:
+class PropositionReport(Record):
     prop_id: str
     inputs: dict
     lhs: str
@@ -202,8 +200,7 @@ def _packing_report(H: Graph, J: Graph, n: int, q, copy_cap, node_budget) -> Pro
 # -- peeling -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PeelResult:
+class PeelResult(Record):
     surviving: tuple
     degrees: tuple
     total_copies: int
@@ -253,16 +250,14 @@ def peel_min_degree(
 # -- fit decomposition ------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DegreeProfile:
+class DegreeProfile(Record):
     f: tuple
     d: tuple
     big: tuple
     D: int
 
 
-@dataclass(frozen=True)
-class FitRecord:
+class FitRecord(Record):
     copy: tuple
     residual: tuple
     profile: DegreeProfile
@@ -409,8 +404,7 @@ def verify_fit_partition(H: Graph, F: Graph, eps, d, node_budget=None) -> Propos
 # -- legal degree sequences -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LegalCount:
+class LegalCount(Record):
     count: int
     big_threshold: int
     bound: int
@@ -483,8 +477,7 @@ def count_legal_sequences(f, eps, d, D: int, d_cap: int) -> LegalCount:
 _ELL_HAT_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class EllHatResult:
+class EllHatResult(Record):
     value: int
     n: int
     delta: Fraction
@@ -496,8 +489,11 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
     """Largest integer l with (nq)^l < n^(1 - delta*c), where nq = n^c.
 
     Rewriting n^(1-delta*c) as n*(nq)^(-delta) removes c: with delta = s/t
-    the condition is (nq)^(t*l+s) < n^t, decided by exact integer powers.
-    A cutoff above 10^6 is refused with ``ResourceGuardError``.
+    the condition is (nq)^(t*l+s) < n^t.  Logarithms decide it wherever
+    the two sides' logs differ by more than 1e-9 of their size, a margin
+    far above the few-ulp error of ``math.log`` on integers; exact integer
+    powers decide the rest.  A cutoff above 10^6 is refused with
+    ``ResourceGuardError``.
     """
     delta = Fraction(delta)
     if not (0 < delta < 1):
@@ -507,9 +503,19 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
     s, t = delta.numerator, delta.denominator
     nq = value_mul(Fraction(n), q)
     rhs = Fraction(n) ** t
+    # ln(nq) = (ln a - ln b)/r for nq = (a/b)^(1/r); scale bounds its size
+    base, r = (nq.base, nq.exp) if isinstance(nq, Root) else (nq, 1)
+    log_a, log_b = math.log(base.numerator), math.log(base.denominator)
+    log_nq, scale = (log_a - log_b) / r, (log_a + log_b) / r
+    log_rhs = t * math.log(n)
 
     def holds(ell: int) -> bool:
-        ok = value_cmp(value_pow(nq, t * ell + s), rhs) < 0
+        k = t * ell + s
+        gap = k * log_nq - log_rhs
+        if abs(gap) > 1e-9 * (k * scale + log_rhs):
+            ok = gap < 0
+        else:
+            ok = value_cmp(value_pow(nq, k), rhs) < 0
         if ok and ell > _ELL_HAT_CAP:
             raise ResourceGuardError(f"path-length cutoff exceeds {_ELL_HAT_CAP}")
         return ok

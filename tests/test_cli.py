@@ -8,6 +8,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shlex
 import subprocess
 import sys
@@ -553,6 +554,28 @@ class TestRefusals:
         )
         assert code == 3 and out == "" and "resource guard" in err
 
+    def test_ellhat_refuses_without_the_huge_power(self, capsys, monkeypatch):
+        from kklab import verifier
+
+        # the cutoff at this q is about 2.3 million; logarithms decide the
+        # refusal, so no power with an exponent past the cap is ever built
+        exact_pow = verifier.value_pow
+
+        def small_pow(x, k):
+            assert k <= 10**6, f"power with exponent {k}"
+            return exact_pow(x, k)
+
+        monkeypatch.setattr(verifier, "value_pow", small_pow)
+        argv = ("ellhat", "--n", "10", "--q", "1000001/10000000", "--delta", "1/2")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "cutoff exceeds 1000000" in err
+        # end to end in a fresh process, well inside the old 35 s
+        proc = subprocess.run(
+            [sys.executable, "-m", "kklab.cli", *argv], capture_output=True, text=True,
+            timeout=30, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 3 and "resource guard" in proc.stderr
+
     def test_repair_budget_exhaustion_is_a_refusal(self, capsys):
         code, _, err = run(
             capsys, "gen", "--family", "gnp-repair", "--n", "10", "--q", "1/10",
@@ -648,6 +671,35 @@ class TestImportBoundaries:
     def test_graph_level_commands_load_no_dataclasses_or_csv(self, argv):
         code, loaded = json.loads(fresh_python(_STDLIB_LOADED_BY, json.dumps(argv)))
         assert code == 0 and loaded == []
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["pc", "--pattern", "K3", "--n", "8", "--trials", "20"],
+            ["sparse-check", "--graph", "K3", "--n", "10", "--q", "1/10"],
+            ["qmin", "--graph", "K3", "--n", "10"],
+            ["pe", "--graph", "K3", "--n", "10"],
+            ["search", "--pattern", "P2", "--n", "8", "--q", "1/2", "--host-cap", "5",
+             "--budget", "50"],
+            ["sweep", "--pattern", "P2", "--n", "8", "--q", "1/2", "--v-cap", "4"],
+            ["verify", "props", "--graph", "K3", "--n", "10", "--q", "1/4"],
+            ["verify", "fit", "--graph", "C5", "--pattern", "P2", "--eps", "1", "--d", "3"],
+            ["gen", "--family", "gnp-repair", "--n", "10", "--q", "2/5", "--vertices", "5"],
+            ["ellhat", "--n", "1000", "--q", "1/10", "--delta", "1/3"],
+        ],
+        ids=["pc", "sparse-check", "qmin", "pe", "search", "sweep", "verify-props",
+             "verify-fit", "gen", "ellhat"],
+    )
+    def test_upper_commands_load_no_dataclasses(self, argv):
+        code, loaded = json.loads(fresh_python(_STDLIB_LOADED_BY, json.dumps(argv)))
+        assert code == 0 and "dataclasses" not in loaded
+
+    def test_no_module_imports_dataclasses(self):
+        # result records are util.Record values; a dataclass would bring
+        # the import back into every upper command's start-up
+        for path in sorted(pathlib.Path(SRC, "kklab").glob("*.py")):
+            assert not re.search(r"^\s*(from|import)\s+dataclasses\b", path.read_text(),
+                                 re.MULTILINE), path.name
 
 
 # -- the package's lazy exports --------------------------------------------------

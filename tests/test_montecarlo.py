@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from kklab import montecarlo
+from kklab.counting import contains
 from kklab import (
     GENERATOR_FAMILIES,
     PreconditionError,
@@ -356,3 +357,54 @@ PINNED_PC = [
 def test_pc_pinned_at_benchmark_scale(pattern, n, seed, expected):
     result = estimate_pc(TrialPlan(n=n, pattern=pattern, trials=250, seed=seed))
     assert result.to_json() == expected
+
+
+class TestTrialOracle:
+    """Each ``estimate_pc`` trial, run on adjacency masks with its draws read
+    ahead, against ``contains(sample_gnp(...))`` on an equal stream."""
+
+    @pytest.mark.parametrize(
+        "pattern,n,trials,tolerance",
+        [
+            (complete_graph(3), 20, 60, Fraction(1, 100)),
+            (cycle_graph(4), 24, 60, Fraction(1, 100)),
+            (path_graph(3), 12, 60, Fraction(1, 100)),
+            (complete_graph(4), 16, 60, Fraction(1, 100)),
+            # probes with denominator 512 and 1024 take the per-pair branch
+            (complete_graph(3), 12, 25, Fraction(1, 1024)),
+        ],
+        ids=["K3_n20", "C4_n24", "P3_n12", "K4_n16", "K3_tol1024"],
+    )
+    def test_each_trial_matches_contains(self, pattern, n, trials, tolerance):
+        plan = TrialPlan(n=n, pattern=pattern, trials=trials, seed=11, tolerance=tolerance)
+        result = estimate_pc(plan)
+        assert any(pr.p.denominator >= 256 for pr in result.probes) == (tolerance < Fraction(1, 256))
+        for i, probe in enumerate(result.probes):
+            gnp = montecarlo._gnp_plan(n, probe.p)
+            outcomes = []
+            for t in range(trials):
+                stream = derive_rng(plan.seed, "pc", i, t)
+                trial = montecarlo._trial(n, gnp, pattern, derive_rng(plan.seed, "pc", i, t))
+                assert trial == contains(sample_gnp(n, probe.p, stream), pattern), (probe.p, t)
+                outcomes.append(trial)
+            assert sum(outcomes) == probe.successes
+
+
+class TestReadAheadOracle:
+    """The read-ahead pairs against ``sample_gnp``'s: the same accepted
+    prefix, however many words past it the read-ahead drew."""
+
+    @pytest.mark.parametrize(
+        "p",
+        [Fraction(1, 2), Fraction(1, 16), Fraction(23, 256), Fraction(3, 7),
+         Fraction(1, 255), Fraction(254, 255)],
+        ids=str,
+    )
+    def test_same_pairs_as_sample_gnp(self, p):
+        for n in (2, 7, 20, 24):
+            plan = montecarlo._gnp_plan(n, p)
+            for seed in range(60):
+                ahead = list(montecarlo._kept_pairs(
+                    *plan, derive_rng(seed, "ahead", str(p)), read_ahead=True
+                ))
+                assert ahead == list(sample_gnp(n, p, derive_rng(seed, "ahead", str(p))).edges)

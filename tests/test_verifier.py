@@ -325,6 +325,22 @@ class TestEllHatSearch:
         assert calls[0] <= 2 * result.value.bit_length() + 4
 
 
+@pytest.mark.parametrize(
+    "n,q,delta",
+    [
+        # 25^3 = 125^2 at l = 1, and 8^7 = 128^3 at l = 2: the float logs
+        # put both ties 1.8e-15 below zero, so only exact powers refuse them
+        (125, Fraction(1, 5), Fraction(1, 2)),
+        (128, Fraction(1, 16), Fraction(1, 3)),
+    ],
+)
+def test_ell_hat_decides_ties_exactly(n, q, delta):
+    result = ell_hat(n, q, delta)
+    assert (result.value, result.at_value_ok, result.above_value_fails) == linear_ell_hat(
+        n, q, delta
+    )
+
+
 class TestMainInequality:
     def test_strict_at_two(self):
         q = q_min(complete_graph(3), 10).threshold

@@ -137,38 +137,38 @@ def _walk(adj, pattern: Graph, budget, on_hit=None):
     # _run_embedding's walk on the host's adjacency masks alone, so a
     # caller holding only masks (a Monte Carlo trial) builds no Graph
     plan = _match_plan(pattern)
-    k = len(plan)
+    last = len(plan) - 1
+    back = [earlier for _, earlier in plan]
     # the degree test depends only on the step: fit[idx] holds the host
     # vertices of degree at least that of the step's pattern vertex
-    degs = [m.bit_count() for m in adj]
+    degs = list(map(int.bit_count, adj))
     needs = [pattern.degree(v) for v, _ in plan]
     fit_of = {need: sum(1 << w for w, d in enumerate(degs) if d >= need) for need in set(needs)}
     fit = [fit_of[need] for need in needs]
-    assign = [0] * k
-
-    def candidates(idx: int, used: int) -> int:
-        mask = fit[idx] & ~used
-        for p in plan[idx][1]:
-            mask &= adj[assign[p]]
-        return mask
-
+    assign = [0] * (last + 1)
+    spend = budget.spend
     hits = 0
 
     def walk(idx: int, used: int) -> bool:
         nonlocal hits
-        if on_hit is None and idx + 1 == k:
-            leaves = candidates(idx, used).bit_count()
-            budget.spend(leaves)
+        mask = fit[idx] & ~used
+        for p in back[idx]:
+            mask &= adj[assign[p]]
+        if on_hit is None and idx == last:
+            leaves = mask.bit_count()
+            spend(leaves)
             hits += leaves
             return False
-        for w in iter_bits(candidates(idx, used)):
-            budget.spend()
-            assign[idx] = w
-            if idx + 1 == k:
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            spend()
+            assign[idx] = low.bit_length() - 1
+            if idx == last:
                 hits += 1
                 if on_hit(tuple(assign)):
                     return True
-            elif walk(idx + 1, used | 1 << w):
+            elif walk(idx + 1, used | low):
                 return True
         return False
 

@@ -11,6 +11,7 @@ so each name has one object wherever it is imported from, and building
 the parser imports none of those upper layers.
 """
 
+import sys
 from fractions import Fraction
 
 # exact: decimal digits in enclosures
@@ -45,11 +46,29 @@ class EdgeCapError(RuntimeError):
     """Exact subset scan refused; use heuristic mode or raise the cap."""
 
 
+# from Python 3.14 a class body compiled without ``from __future__ import
+# annotations`` keeps its annotations only in an annotate function (PEP 649)
+_LAZY_ANNOTATIONS = sys.version_info >= (3, 14)
+
+
+def _annotated_names(namespace) -> tuple:
+    # the annotated names of a class body, in order; an annotate function
+    # is read through annotationlib without evaluating the annotations
+    if "__annotations__" in namespace or not _LAZY_ANNOTATIONS:
+        return tuple(namespace.get("__annotations__", ()))
+    import annotationlib
+
+    annotate = annotationlib.get_annotate_from_class_namespace(namespace)
+    if annotate is None:
+        return ()
+    return tuple(annotationlib.call_annotate_function(annotate, annotationlib.Format.FORWARDREF))
+
+
 class _RecordType(type):
     # turns a class body's annotated names into slots, in order, and takes
     # their values out of the body as constructor defaults
     def __new__(mcls, name, bases, namespace):
-        fields = tuple(namespace.get("__annotations__", ()))
+        fields = _annotated_names(namespace)
         namespace["_defaults"] = {f: namespace.pop(f) for f in fields if f in namespace}
         namespace["__slots__"] = namespace["_fields"] = fields
         return super().__new__(mcls, name, bases, namespace)

@@ -476,6 +476,14 @@ def count_legal_sequences(f, eps, d, D: int, d_cap: int) -> LegalCount:
 # ell_hat refuses once the cutoff is known to exceed this
 _ELL_HAT_CAP = 10**6
 
+# the float error of ell_hat's log gap k*ln(nq) - t*ln(n), relative to
+# S = k*scale + t*ln(n), with u = 2^-53: math.log of an integer a >= 2 is
+# within 4u*ln(a) of ln a (the int-to-float rounding adds at most u, under
+# 1.5u*ln(a), and log one ulp), and the difference, the division by the
+# root degree, the products with k and t and the final subtraction add at
+# most u*S each, so the gap is off by under 10u*S; the slack is 32u
+_LOG_SLACK = 2.0**-48
+
 
 class EllHatResult(Record):
     value: int
@@ -490,9 +498,8 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
 
     Rewriting n^(1-delta*c) as n*(nq)^(-delta) removes c: with delta = s/t
     the condition is (nq)^(t*l+s) < n^t.  Logarithms decide it wherever
-    the two sides' logs differ by more than 1e-9 of their size, a margin
-    far above the few-ulp error of ``math.log`` on integers; exact integer
-    powers decide the rest.  A cutoff above 10^6 is refused with
+    the two sides' logs differ by more than a bound on their float error,
+    a few ulps of their size; exact integer powers decide the rest.  A cutoff above 10^6 is refused with
     ``ResourceGuardError``.
     """
     delta = Fraction(delta)
@@ -512,7 +519,7 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
     def holds(ell: int) -> bool:
         k = t * ell + s
         gap = k * log_nq - log_rhs
-        if abs(gap) > 1e-9 * (k * scale + log_rhs):
+        if abs(gap) > _LOG_SLACK * (k * scale + log_rhs):
             ok = gap < 0
         else:
             ok = value_cmp(value_pow(nq, k), rhs) < 0

@@ -9,14 +9,16 @@ equality, hash, repr, immutability, pickling and copying.
 import copy
 import dataclasses
 import pickle
+import sys
+import types
 from fractions import Fraction
 
 import pytest
 
-from kklab import expectation, graphs, montecarlo, search, verifier
+from kklab import expectation, graphs, montecarlo, search, util, verifier
 from kklab.exact import make_value
 from kklab.graphs import complete_graph, path_graph
-from kklab.util import Record
+from kklab.util import Record, _RecordType
 
 K3, P2 = complete_graph(3), path_graph(2)
 ROOT = make_value(Fraction(1, 120), 3)
@@ -26,10 +28,6 @@ PROFILE = verifier.DegreeProfile((1,), (2,), (0,), 3)
 
 # record: (fields, defaults, two value tuples with every field given)
 RECORDS = {
-    graphs.DensityValue: (
-        ("numerator", "denominator", "witness"), {},
-        [(1, 2, (0, 1)), (3, 2, (0, 1, 2, 3))],
-    ),
     expectation.ThresholdClass: (
         ("descriptor", "v", "e", "aut", "subsets", "threshold"), {},
         [("K3", 3, 3, 6, 1, ROOT), ("P2", 3, 2, 2, 3, Fraction(1, 3))],
@@ -136,9 +134,12 @@ def record(request):
     return request.param
 
 
-def test_all_seventeen_are_covered():
-    assert len(RECORDS) == 17
+def test_every_record_is_covered():
+    # graphs.DensityValue, the seventeenth, is checked against its frozen
+    # dataclass by tests/test_graphs.py::TestDensityValue
+    assert len(RECORDS) == 16
     assert all(issubclass(record, Record) for record in RECORDS)
+    assert issubclass(graphs.DensityValue, Record)
 
 
 class TestParity:
@@ -216,3 +217,40 @@ def test_plan_checks_run_in_the_constructor():
         montecarlo.TrialPlan(2, K3)
     with pytest.raises(montecarlo.PreconditionError, match="trials=0"):
         montecarlo.TrialPlan(n=10, pattern=K3, trials=0)
+
+
+class TestAnnotateFunction:
+    """From Python 3.14 a class body compiled without ``from __future__
+    import annotations``, as in this module and in graphs, expectation and
+    verifier, keeps its annotations in an annotate function (PEP 649)."""
+
+    def test_a_body_without_future_annotations(self):
+        class Pair(Record):
+            x: int
+            y: int = 2
+
+        assert Pair._fields == ("x", "y")
+        assert repr(Pair(1)).endswith(".<locals>.Pair(x=1, y=2)")
+        with pytest.raises(TypeError):
+            Pair()
+
+    @pytest.mark.skipif(sys.version_info >= (3, 14), reason="the body above runs it for real")
+    def test_fields_from_the_annotate_function(self, monkeypatch):
+        # annotationlib's documented calls, for versions that lack it; the
+        # annotations are read as forward references, never evaluated
+        monkeypatch.setattr(util, "_LAZY_ANNOTATIONS", True)
+        stub = types.ModuleType("annotationlib")
+        stub.Format = types.SimpleNamespace(FORWARDREF="forwardref")
+        stub.get_annotate_from_class_namespace = lambda namespace: namespace.get("__annotate__")
+        stub.call_annotate_function = lambda annotate, format: annotate(format)
+        monkeypatch.setitem(sys.modules, "annotationlib", stub)
+        seen = []
+
+        def annotate(format):
+            seen.append(format)
+            return {"x": "Undefined", "y": "int"}
+
+        Pair = _RecordType("Pair", (Record,), {"__annotate__": annotate, "y": 2})
+        assert seen == ["forwardref"] and Pair._fields == ("x", "y")
+        assert repr(Pair(1)) == "Pair(x=1, y=2)" and Pair(1) == Pair(1, 2)
+        assert _RecordType("Empty", (Record,), {})._fields == ()

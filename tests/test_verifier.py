@@ -325,6 +325,19 @@ class TestEllHatSearch:
         assert calls[0] <= 2 * result.value.bit_length() + 4
 
 
+def test_ell_hat_refuses_near_the_cap_without_the_huge_power(monkeypatch):
+    # the cutoff at this q is about 1.06 million, 1% past 2^20, the first
+    # doubling step over the cap; a log margin of 1e-9 of the terms' size
+    # spans about 1.2% there, so it built (nq)^2097153 before refusing
+    def small_pow(x, k):
+        assert k <= 10**6, f"power with exponent {k}"
+        return value_pow(x, k)
+
+    monkeypatch.setattr(kklab.verifier, "value_pow", small_pow)
+    with pytest.raises(ResourceGuardError, match="cutoff exceeds 1000000"):
+        ell_hat(10, Fraction(229973, 2299725), Fraction(1, 2))
+
+
 @pytest.mark.parametrize(
     "n,q,delta",
     [

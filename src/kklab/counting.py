@@ -25,13 +25,14 @@ When the running node count exceeds it, counting refuses with
 ``count_labeled`` and ``iter_labeled`` (so also ``count_copies``) refuse
 up front when the frontier estimate exceeds it, too; ``contains`` and
 ``copies_as_edge_masks`` run the same embedding walk on the node budget
-alone.
+alone.  An argument outside a counter's domain (an empty pattern, a
+clique order below 1) raises ``util.PreconditionError``.
 """
 
 from functools import lru_cache
 
 from .graphs import Graph, automorphism_count, degeneracy_order
-from .util import iter_bits
+from .util import PreconditionError, iter_bits
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_COPY_CAP = 200_000
@@ -186,7 +187,7 @@ def _embedding_budget(host: Graph, pattern: Graph, node_budget):
     """The budget for one embedding walk, None when the pattern cannot fit;
     refuses up front when the frontier estimate exceeds the budget."""
     if pattern.n == 0:
-        raise ValueError("pattern needs at least one vertex")
+        raise PreconditionError("pattern needs at least one vertex")
     if pattern.n > host.n:
         return None
     budget = _Budget(node_budget)
@@ -229,7 +230,7 @@ def iter_labeled(host: Graph, pattern: Graph, node_budget=None):
 def contains(host: Graph, pattern: Graph, node_budget=None) -> bool:
     """Does ``host`` contain a (not necessarily induced) copy of ``pattern``?"""
     if pattern.n == 0:
-        raise ValueError("pattern needs at least one vertex")
+        raise PreconditionError("pattern needs at least one vertex")
     if pattern.n > host.n:
         return False
     if pattern.edge_count > host.edge_count:
@@ -257,7 +258,7 @@ def count_copies(host: Graph, pattern: Graph, node_budget=None, threads: int = 1
 def count_cliques(host: Graph, r: int, node_budget=None) -> int:
     """Number of r-cliques, by ascending-id recursion after degeneracy relabeling."""
     if r < 1:
-        raise ValueError("clique order must be >= 1")
+        raise PreconditionError("clique order must be >= 1")
     if r > host.n:
         return 0
     order = degeneracy_order(host)
@@ -289,7 +290,7 @@ def count_cycles(host: Graph, k: int, node_budget=None) -> int:
     """Number of k-cycles; each cycle seen once, rooted at its minimum vertex
     and oriented toward the smaller of the root's two cycle neighbors."""
     if k < 3:
-        raise ValueError("cycle length must be >= 3")
+        raise PreconditionError("cycle length must be >= 3")
     if k > host.n:
         return 0
     adj = host.adj
@@ -320,11 +321,11 @@ def count_cycles(host: Graph, k: int, node_budget=None) -> int:
 def count_xy_paths(host: Graph, x: int, y: int, edges: int, node_budget=None) -> int:
     """Simple paths with exactly ``edges`` edges from x to y."""
     if x == y:
-        raise ValueError("path endpoints must differ")
+        raise PreconditionError("path endpoints must differ")
     if edges < 1:
-        raise ValueError("path length must be >= 1 edge")
+        raise PreconditionError("path length must be >= 1 edge")
     if not (0 <= x < host.n and 0 <= y < host.n):
-        raise ValueError("endpoint out of range")
+        raise PreconditionError("endpoint out of range")
     return _xy_paths(host, x, y, edges, _Budget(node_budget))
 
 
@@ -353,9 +354,9 @@ def max_xy_paths(host: Graph, edges: int, node_budget=None) -> tuple:
     node budget.
     """
     if host.n < 2:
-        raise ValueError("need at least two vertices for an endpoint pair")
+        raise PreconditionError("need at least two vertices for an endpoint pair")
     if edges < 1:
-        raise ValueError("path length must be >= 1 edge")
+        raise PreconditionError("path length must be >= 1 edge")
     budget = _Budget(node_budget)
     best = -1
     best_pair = (0, 1)
@@ -384,7 +385,7 @@ def copies_as_edge_masks(
 
 def _edge_masks(host: Graph, pattern: Graph, copy_cap, budget: _Budget) -> list:
     if pattern.edge_count == 0:
-        raise ValueError("packing needs a pattern with at least one edge")
+        raise PreconditionError("packing needs a pattern with at least one edge")
     if pattern.n > host.n:
         return []
     cap = copy_cap if copy_cap is not None else DEFAULT_COPY_CAP
@@ -421,7 +422,7 @@ def packing_number(
     each branch-and-bound call spends one node.
     """
     if mode not in ("exact", "greedy"):
-        raise ValueError("mode must be 'exact' or 'greedy'")
+        raise PreconditionError("mode must be 'exact' or 'greedy'")
     budget = _Budget(node_budget)
     copies = _edge_masks(host, pattern, copy_cap, budget)
     if not copies:

@@ -624,8 +624,9 @@ class _VerdictMemo:
 
     All three tests are one comparison, so ``verdicts`` keeps each one
     under its (v, e, cap) key, whichever cap it holds.  The crude count
-    bound is memoized per vertex cap.  The keys do not depend on the host,
-    so one memo may serve many hosts.  max_edges bounds e.
+    bound is the same comparison at cap v!, and its edge bound is memoized
+    per vertex cap.  The keys do not depend on the host, so one memo may
+    serve many hosts.  max_edges bounds e.
     """
 
     __slots__ = ("n", "powers", "verdicts", "auts", "safe")
@@ -643,20 +644,18 @@ class _VerdictMemo:
         edges q-sparse.
 
         A subset with v vertices and e edges has expectation at least
-        C(n,v) * q^e, and a bucket (v,e) is realizable only when v <= 2e and
-        e <= C(v,2).  Scanning e upward, the first e with a failing
-        realizable bucket ends the guarantee.  At q = 1 every bucket passes,
-        so graphs of any size are certified without touching their subsets.
+        C(n,v) * q^e = (n)_v/v! * q^e, the v! tier of ``below_one``, and a
+        bucket (v,e) is realizable only when v <= 2e and e <= C(v,2).
+        Scanning e upward, the first e with a failing realizable bucket
+        ends the guarantee.  At q = 1 every bucket passes, so graphs of any
+        size are certified without touching their subsets.
         """
         bound = self.safe.get(v_cap)
         if bound is None:
             bound = len(self.powers) - 1
             for e in range(1, len(self.powers)):
                 if any(
-                    e <= math.comb(v, 2)
-                    and value_cmp(
-                        value_mul(Fraction(math.comb(self.n, v)), self.powers[e]), 1
-                    ) < 0
+                    e <= math.comb(v, 2) and self.below_one(v, e, math.factorial(v)) is not False
                     for v in range(2, min(2 * e, v_cap) + 1)
                 ):
                     bound = e - 1

@@ -1,10 +1,12 @@
 """Graph values and structural primitives.
 
-Vertices are dense 0-based ids.  A ``Graph`` is immutable: the sorted edge
-tuple and the per-vertex adjacency bitmasks describe the same relation.
-The constructor is the one way to build one, and it checks every edge list
-it is given: the adjacency bitmask it fills in is also its duplicate test,
-and the hash is computed from ``(n, edges)`` when it is asked for.
+Vertices are dense 0-based ids.  A ``Graph`` is an immutable
+``util.Record``: the sorted edge tuple and the per-vertex adjacency
+bitmasks describe the same relation.  The constructor is the one way to
+build one, and it checks every edge list it is given: the adjacency
+bitmask it fills in is also its duplicate test, the hash is computed from
+``(n, edges)`` when it is asked for, and pickling and copying rebuild the
+graph through the constructor from ``(n, edges)``.
 Isolated vertices are representable (``n`` may exceed the span of the
 edge list); they survive graph6 round trips, and the plain edge-list
 format carries them via an explicit ``n=<k>`` header line.
@@ -44,10 +46,12 @@ class GraphParseError(ValueError):
         self.offset = offset
 
 
-class Graph:
+class Graph(Record):
     """Immutable simple graph on vertices 0..n-1."""
 
-    __slots__ = ("n", "edges", "adj")
+    n: int
+    edges: tuple
+    adj: tuple
 
     def __init__(self, n: int, edges=()):
         if n < 0:
@@ -70,9 +74,6 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(norm))
         object.__setattr__(self, "adj", tuple(adj))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Graph is immutable")
 
     # -- basic queries -----------------------------------------------------
 
@@ -140,15 +141,11 @@ class Graph:
 
     # -- identity ------------------------------------------------------------
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Graph)
-            and self.n == other.n
-            and self.edges == other.edges
-        )
-
     def __hash__(self):
         return hash((self.n, self.edges))
+
+    def __reduce__(self):
+        return Graph, (self.n, self.edges)
 
     def __repr__(self):
         shown = list(self.edges[:8])

@@ -1,14 +1,14 @@
 """Small shared helpers and the names the command line reads at start-up.
 
 Besides bit iteration, the one CSV writer and ``Record``, the frozen-record
-base every result type is built on, this module holds the two refusal
-types every layer may raise (``PreconditionError`` and ``EdgeCapError``)
-and the defaults the CLI parser shows: the enclosure precision of
-``exact``, the subset-scan caps of ``expectation``, the Monte Carlo
-defaults and generator families of ``montecarlo``, and the annealer and
-sweep limits of ``search``.  Those modules re-export them,
-so each name has one object wherever it is imported from, and building
-the parser imports none of those upper layers.
+base that ``Graph`` and every result type are built on, this module holds
+the two refusal types every layer may raise (``PreconditionError`` and
+``EdgeCapError``) and the defaults the CLI parser shows: the enclosure
+precision of ``exact``, the subset-scan caps of ``expectation``, the Monte
+Carlo defaults and generator families of ``montecarlo``, and the annealer
+and sweep limits of ``search``.  Those modules re-export them, so each
+name has one object wherever it is imported from, and building the parser
+imports none of those upper layers.
 """
 
 import sys

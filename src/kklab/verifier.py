@@ -1,8 +1,12 @@
 """Machine-checked propositions and constructive decompositions.
 
-Every check here is exact: log-form bounds compare integer powers
-(x < log2 y iff 2^x < y^..., cross-multiplied), bounds involving the
-constant e use adaptive rational enclosures, and thresholds of the form
+Every check here is exact.  One power test, ``_power_exceeds_one``,
+decides every comparison of the form n^t * q^e > 1: the ratio bounds
+against q = n^-c, the log-form bounds, which are the ratio bounds at
+q = 1/2 (x/t < log2 n iff n^t * 2^-x > 1), and the path-length cutoff
+``ell_hat``.  Float logarithms decide it away from a tie and the exact
+power decides it within a few ulps of one.  Bounds involving the constant
+e use adaptive rational enclosures, and thresholds of the form
 sqrt(eps)*d are compared by squaring.  Reports carry both sides and a
 verdict; a failing report is an honest outcome, not an exception.
 
@@ -69,19 +73,33 @@ def _base_inputs(H: Graph, n: int, q) -> dict:
 # -- structural bounds for sparse hosts ----------------------------------------
 
 
+# the float error of _power_exceeds_one's log gap t*ln(n) + e*(ln a - ln b)/k,
+# relative to S = t*ln(n) + e*(ln a + ln b)/k, with u = 2^-53: math.log of
+# an integer x >= 2 is within 4u*ln(x) of ln x (the int-to-float rounding
+# adds at most u, under 1.5u*ln(x), and log one ulp), and the difference,
+# the division by the root degree, the conversions of e and t to floats,
+# the products with them and the final sum add at most u*S each, so the
+# gap is off by under 11u*S; the slack is 32u
+_LOG_SLACK = 2.0**-48
+
+
 def _power_exceeds_one(n: int, t: int, q, e: int) -> bool:
-    """n^t * q^e > 1, true when e = 0 or q = 1.  For q = (a/b)^(1/k) it is
-    t*k*log2 n + e*log2 a > e*log2 b; bit lengths bound each log2 within 1
-    and decide it outside one band, where the exact power is built."""
+    """n^t * q^e > 1, true when e = 0 or q = 1 and false when q = 0 < e.
+
+    For q = (a/b)^(1/k) float logs decide the sign of the gap
+    t*ln(n) + e*(ln a - ln b)/k wherever it exceeds a bound on its float
+    error, a few ulps of its size; the exact power decides the rest, so
+    a tie is never above one."""
     if e == 0 or value_cmp(q, 1) == 0:
         return True
     base, k = (q.base, q.exp) if isinstance(q, Root) else (Fraction(q), 1)
-    ab, bb = base.numerator.bit_length(), base.denominator.bit_length()
-    nb = n.bit_length()
-    if ab and t * k * (nb - 1) + e * (ab - 1) >= e * bb:
-        return True
-    if t * k * nb + e * ab <= e * (bb - 1):
+    if base == 0:
         return False
+    log_a, log_b = math.log(base.numerator), math.log(base.denominator)
+    t_log_n = t * math.log(n)
+    gap = t_log_n + e * (log_a - log_b) / k
+    if abs(gap) > _LOG_SLACK * (t_log_n + e * (log_a + log_b) / k):
+        return gap > 0
     return value_cmp(value_mul(Fraction(n) ** t, value_pow(q, e)), 1) > 0
 
 
@@ -122,7 +140,7 @@ def verify_structure(H: Graph, n: int, q) -> list:
             inputs=inputs,
             lhs=f"{num}/{den}",
             rhs=f"log2({n}) ~ {math.log2(n):.6g}",
-            verdict=(1 << num) < n**den if num else True,
+            verdict=_power_exceeds_one(n, den, Fraction(1, 2), num),
             witness={"densest_vertices": list(dens.witness)},
             note=regime_note,
         )
@@ -141,16 +159,13 @@ def verify_structure(H: Graph, n: int, q) -> list:
     )
 
     e_h = H.edge_count
-    # 2^e_h < n^n; the power is needed only for n*bl <= e_h < n*(bl + 1)
-    bl = n.bit_length() - 1
-    edge_log_ok = e_h == 0 or e_h < n * bl or (e_h < n * (bl + 1) and (1 << e_h) < n**n)
     reports.append(
         PropositionReport(
             prop_id="edge-count-log-bound",
             inputs=inputs,
             lhs=str(e_h),
             rhs=f"{n}*log2({n}) ~ {n * math.log2(n):.6g}",
-            verdict=edge_log_ok,
+            verdict=_power_exceeds_one(n, n, Fraction(1, 2), e_h),
             note=regime_note,
         )
     )
@@ -476,14 +491,6 @@ def count_legal_sequences(f, eps, d, D: int, d_cap: int) -> LegalCount:
 # ell_hat refuses once the cutoff is known to exceed this
 _ELL_HAT_CAP = 10**6
 
-# the float error of ell_hat's log gap k*ln(nq) - t*ln(n), relative to
-# S = k*scale + t*ln(n), with u = 2^-53: math.log of an integer a >= 2 is
-# within 4u*ln(a) of ln a (the int-to-float rounding adds at most u, under
-# 1.5u*ln(a), and log one ulp), and the difference, the division by the
-# root degree, the products with k and t and the final subtraction add at
-# most u*S each, so the gap is off by under 10u*S; the slack is 32u
-_LOG_SLACK = 2.0**-48
-
 
 class EllHatResult(Record):
     value: int
@@ -497,9 +504,9 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
     """Largest integer l with (nq)^l < n^(1 - delta*c), where nq = n^c.
 
     Rewriting n^(1-delta*c) as n*(nq)^(-delta) removes c: with delta = s/t
-    the condition is (nq)^(t*l+s) < n^t.  Logarithms decide it wherever
-    the two sides' logs differ by more than a bound on their float error,
-    a few ulps of their size; exact integer powers decide the rest.  A cutoff above 10^6 is refused with
+    the condition is n^t * (1/(nq))^(t*l+s) > 1, which the one power test
+    of the structural bounds decides, by float logs away from a tie and by
+    the exact power near one.  A cutoff above 10^6 is refused with
     ``ResourceGuardError``.
     """
     delta = Fraction(delta)
@@ -508,21 +515,10 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
     if n < 2 or value_cmp(q, Fraction(1, n)) <= 0 or value_cmp(q, 1) >= 0:
         raise PreconditionError("need 1/n < q < 1 so the exponent c is defined")
     s, t = delta.numerator, delta.denominator
-    nq = value_mul(Fraction(n), q)
-    rhs = Fraction(n) ** t
-    # ln(nq) = (ln a - ln b)/r for nq = (a/b)^(1/r); scale bounds its size
-    base, r = (nq.base, nq.exp) if isinstance(nq, Root) else (nq, 1)
-    log_a, log_b = math.log(base.numerator), math.log(base.denominator)
-    log_nq, scale = (log_a - log_b) / r, (log_a + log_b) / r
-    log_rhs = t * math.log(n)
+    inv_nq = value_div(Fraction(1), value_mul(Fraction(n), q))
 
     def holds(ell: int) -> bool:
-        k = t * ell + s
-        gap = k * log_nq - log_rhs
-        if abs(gap) > _LOG_SLACK * (k * scale + log_rhs):
-            ok = gap < 0
-        else:
-            ok = value_cmp(value_pow(nq, k), rhs) < 0
+        ok = _power_exceeds_one(n, t, inv_nq, t * ell + s)
         if ok and ell > _ELL_HAT_CAP:
             raise ResourceGuardError(f"path-length cutoff exceeds {_ELL_HAT_CAP}")
         return ok

@@ -250,6 +250,26 @@ class TestPreconditionRefusals:
         assert code == 2 and out == ""
         assert "precondition violated" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pack", "--graph", "K4", "--pattern", "empty3"),
+            ("peel", "--graph", "K4", "--pattern", "empty3", "--a", "1"),
+            ("count", "--graph", "K4", "--pattern", "empty0"),
+            ("count", "--graph", "K4", "--family", "clique", "--param", "0"),
+            ("count", "--graph", "K4", "--family", "cycle", "--param", "2"),
+            ("count", "--graph", "K4", "--family", "xy-path", "--param", "2", "--x", "1",
+             "--y", "1"),
+            ("gamma", "--graph", "K1", "--length", "1"),
+            ("gamma", "--graph", "K4", "--length", "0"),
+        ],
+    )
+    def test_counting_refusals_exit_2(self, capsys, argv):
+        # the counting layer's argument refusals are preconditions too
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "precondition violated" in err and "Traceback" not in err
+
     def test_heuristic_cap_is_checked_in_heuristic_mode_only(self, capsys):
         doc = run_json(capsys, "qmin", "--graph", "K4", "--n", "8", "--heuristic-vertex-cap", "1")
         assert doc["base_pair"]

@@ -219,6 +219,27 @@ def test_plan_checks_run_in_the_constructor():
         montecarlo.TrialPlan(n=10, pattern=K3, trials=0)
 
 
+@pytest.mark.parametrize(
+    "value",
+    [
+        K3,
+        PLAN,
+        expectation.SparsityReport(*RECORDS[expectation.SparsityReport][2][0]),
+        search.SweepResult(*RECORDS[search.SweepResult][2][0]),
+    ],
+    ids=lambda value: type(value).__name__,
+)
+def test_graphs_and_their_holders_pickle_and_copy(value):
+    # a Graph pickles and copies by rebuilding itself from (n, edges)
+    for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(twin) is type(value) and twin == value and repr(twin) == repr(value)
+        assert hash(twin) == hash(value)
+    graph = pickle.loads(pickle.dumps(K3))
+    assert graph.adj == K3.adj and hash(graph) == hash((3, K3.edges))
+    with pytest.raises(AttributeError):
+        graph.n = 4
+
+
 class TestAnnotateFunction:
     """From Python 3.14 a class body compiled without ``from __future__
     import annotations``, as in this module and in graphs, expectation and

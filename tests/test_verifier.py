@@ -1,10 +1,12 @@
 """Machine-checked propositions: structure bounds, packing, fit classes,
 legal sequences, path-length cutoff, peeling."""
 
+import decimal
 import hashlib
 import inspect
 import itertools
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -90,7 +92,7 @@ def exact_power_exceeds_one(n, t, q, e) -> bool:
 
 
 class TestRatioBounds:
-    """The two ratio bounds decide n^t * q^e > 1 by bit lengths first."""
+    """The one power test decides n^t * q^e > 1 by float logs first."""
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 13, 16, 31, 64, 100, 255, 299])
     def test_bit_lengths_agree_with_the_exact_power(self, n):
@@ -115,6 +117,54 @@ class TestRatioBounds:
         ratios = [r.verdict for r in reports if r.prop_id.endswith("ratio-bound")]
         assert ratios == [True, True]
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "n,t,q,e",
+        [
+            # the float gap of the first two ties is +1.8e-15, so only the
+            # exact power inside the band refuses them
+            (125, 2, Fraction(1, 25), 3),
+            (128, 3, Fraction(1, 8), 7),
+            (16, 1, Fraction(1, 2), 4),
+            (8, 8, Fraction(1, 2), 24),
+            (2, 1, make_value(Fraction(1, 2), 2), 2),
+        ],
+    )
+    def test_a_tie_is_not_above_one(self, n, t, q, e):
+        assert not exact_power_exceeds_one(n, t, q, e)
+        assert _power_exceeds_one(n, t, q, e) is False
+
+    def test_log_bounds_refuse_their_ties(self):
+        # K8 less four edges: density 3 = log2 8 and 24 = 8*log2 8 edges
+        host = Graph(8, complete_graph(8).edges[:24])
+        verdicts = {r.prop_id: r.verdict for r in verify_structure(host, 8, 1)}
+        assert verdicts == {
+            "max-degree-bound": True,
+            "density-log-bound": False,
+            "density-ratio-bound": True,
+            "edge-count-log-bound": False,
+            "edge-count-ratio-bound": True,
+        }
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_near_one_base_across_the_crossing(self, n):
+        # q = 1/(1 + 10^-6): n * q^e crosses 1 near e = ln(n)/ln(1 + 10^-6),
+        # where the log gap is a few times its float error bound; the exact
+        # powers are decimal integers, with any rounding trapped
+        a, b = 10**6, 10**6 + 1
+        ctx = decimal.Context(
+            prec=10**7, Emax=decimal.MAX_EMAX, traps=[decimal.Inexact, decimal.Rounded]
+        )
+        lo = int(math.log(n) / math.log1p(1e-6)) - 2
+        lhs = ctx.multiply(n, ctx.power(decimal.Decimal(a), lo))
+        rhs = ctx.power(decimal.Decimal(b), lo)
+        seen = set()
+        for e in range(lo, lo + 5):
+            want = lhs > rhs
+            assert _power_exceeds_one(n, 1, Fraction(a, b), e) == want, e
+            seen.add(want)
+            lhs, rhs = ctx.multiply(lhs, a), ctx.multiply(rhs, b)
+        assert seen == {True, False}
 
 
 class TestPacking:

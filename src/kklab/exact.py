@@ -2,14 +2,15 @@
 
 Threshold quantities in this package (minimal sparse q, expectation
 thresholds, required scale factors) are k-th roots of explicit positive
-rationals.  ``Root`` keeps them in the symbolic form ``base ** (1/exp)`` so
-that every comparison reduces to an exact integer comparison after
-cross-powering.  The normal form takes exact roots prime by prime: for each
-prime p of exp, while the base is an exact p-th power, it becomes its p-th
-root and exp loses a factor p.  A base that is at most an m-th power ends
-at exp / gcd(exp, m), the base 1 at exp 1, so the form is unique.  Decimal
-digits are produced only on output, as an enclosing interval at a
-requested precision (default 12 digits).
+rationals.  ``Root`` keeps them in the symbolic form ``base ** (1/exp)``;
+a comparison is the sign of a product of rational powers against 1, which
+``_power_sign`` decides by float logs outside a proven error band and by
+exact integer powers inside it.  The normal form takes exact roots prime
+by prime: for each prime p of exp, while the base is an exact p-th power,
+it becomes its p-th root and exp loses a factor p.  A base that is at most
+an m-th power ends at exp / gcd(exp, m), the base 1 at exp 1, so the form
+is unique.  Decimal digits appear only on output, as an enclosing interval
+at a requested precision (default 12 digits).
 
 Comparisons against multiples of Euler's number (needed by a couple of
 verified inequalities) use adaptively refined rational enclosures of e; the
@@ -68,7 +69,7 @@ class Root:
 
     Normalization extracts exact k-th roots, so ``Root(Fraction(8), 3)``
     compares equal to the rational 2 and reports itself rational.  Ordering
-    against rationals and other roots is exact (cross-powered integers).
+    against rationals and other roots is exact (``_power_sign``).
     """
 
     __slots__ = ("base", "exp")
@@ -151,17 +152,11 @@ class Root:
     # -- exact ordering ----------------------------------------------------
 
     def _cmp(self, other) -> int:
-        if isinstance(other, (int, Fraction)):
-            o = Fraction(other)
-            if o <= 0:
-                return 1
-            lhs, rhs = self.base, o ** self.exp
-        elif isinstance(other, Root):
-            lhs = self.base ** other.exp
-            rhs = other.base ** self.exp
-        else:
+        if not isinstance(other, (int, Fraction, Root)):
             raise TypeError(f"cannot compare Root with {type(other)!r}")
-        return (lhs > rhs) - (lhs < rhs)
+        if isinstance(other, Root) or other > 0:
+            return _power_sign(((self, 1), (other, -1)))
+        return 1
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Root)):
@@ -203,6 +198,47 @@ class Root:
 
 
 ExactValue = Fraction | Root
+
+
+# _power_sign divides each exponent p/k by a power of two 2^shift to r, with
+# 1/4 < max |r| < 1: no r overflows, an integer p below 2^53 scales exactly,
+# and S = sum |r|*(ln a + ln b) > ln(2)/4.  With u = 2^-53, the gap
+# G = sum r*(ln a - ln b) of m terms is off by under (m + 6)u*S: math.log of
+# an integer x >= 2 is within 4u*ln(x) of ln x (int-to-float rounding under
+# 1.5u*ln(x), log one ulp), r, the difference and the product add u each to
+# a term's share of S, and each of the m - 1 additions u*S; so the slack 32u
+# covers up to m = 20 terms
+_LOG_SLACK = 2.0**-48
+
+
+def _power_sign(factors) -> int:
+    """Sign of prod x**p - 1 over pairs (x, p), x a positive int, Fraction or
+    Root and p an int: float logs outside the band, exact powers inside."""
+    terms = []
+    for x, p in factors:
+        base, k = (x.base, x.exp) if isinstance(x, Root) else (x, 1)
+        a, b = base.numerator, base.denominator
+        if p and a != b:
+            terms.append((a, b, p, k))
+    # 2^(bits(p) - bits(k) + 1) > |p/k| > 2^(bits(p) - bits(k) - 1)
+    shift = max((abs(p).bit_length() - k.bit_length() + 1 for *_, p, k in terms), default=0)
+    gap = size = 0.0
+    for a, b, p, k in terms:
+        r = p / (k << shift) if shift >= 0 else (p << -shift) / k
+        log_a, log_b = math.log(a), math.log(b)
+        gap += r * (log_a - log_b)
+        size += abs(r) * (log_a + log_b)
+    if abs(gap) > _LOG_SLACK * size:
+        return 1 if gap > 0 else -1
+    lcm = math.lcm(*(k for *_, k in terms))
+    return _exact_power_sign([(a, b, p * (lcm // k)) for a, b, p, k in terms])
+
+
+def _exact_power_sign(terms) -> int:
+    """Sign of prod (a/b)**m - 1 over integer triples (a, b, m), a, b >= 1."""
+    num = math.prod(a**m if m > 0 else b**-m for a, b, m in terms)
+    den = math.prod(b**m if m > 0 else a**-m for a, b, m in terms)
+    return (num > den) - (num < den)
 
 
 def make_value(base, exp: int = 1) -> ExactValue:

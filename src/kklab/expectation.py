@@ -11,9 +11,9 @@ adding an isolated vertex multiplies N(K_n,I) by a factor >= 1 (more
 placements), so it never attains the threshold maximum and never creates
 a violation that the stripped subgraph lacks.  Thresholds depend on a
 subset only through (v_I, e_I, aut_I), so the scan aggregates subsets
-into classes keyed by that triple.  All verdicts are exact: rational q
-uses pure rational arithmetic (N * q^e vs 1), root-shaped q cross-powers
-integers, and no comparison ever goes through floating point.
+into classes keyed by that triple.  All verdicts are exact: each is the
+sign of N * q^e - 1, decided by ``exact``'s sign test, whose float logs
+decide only outside their proven error band and exact powers inside it.
 
 Every scan is one walker feeding one of two sinks.  The walker,
 ``_gray_steps``, visits the nonempty edge subsets in Gray-code order and
@@ -66,6 +66,7 @@ from .counting import count_copies
 from .exact import (
     DEFAULT_DIGITS,
     ExactValue,
+    _power_sign,
     cmp_with_e_power,
     decimal_enclosure,
     make_value,
@@ -694,14 +695,14 @@ class _VerdictMemo:
     def below_one(self, v: int, e: int, cap: int):
         """(n)_v/cap * q^e when it is below 1, else False.  With cap = aut
         this is the subset's exact verdict; with any larger cap it is a test
-        that may only clear the subset."""
+        that may only clear the subset.  The sign test decides first, so
+        the product is built only when it is below 1."""
         key = (v, e, cap)
         hit = self.verdicts.get(key)
         if hit is None:
-            hit = value_mul(Fraction(math.perm(self.n, v), cap), self.powers[e])
-            if value_cmp(hit, 1) >= 0:
-                hit = False
-            self.verdicts[key] = hit
+            perm, power = math.perm(self.n, v), self.powers[e]
+            below = not perm or not power or _power_sign(((perm, 1), (cap, -1), (power, 1))) < 0
+            hit = self.verdicts[key] = below and value_mul(Fraction(perm, cap), power)
         return hit
 
     def violation(self, H: Graph, subset):

@@ -104,7 +104,7 @@ def bernoulli(rng: random.Random, p) -> bool:
     Rational p = num/den costs a single ``randrange(den) < num`` draw, and
     none at p = 0 or 1.  Root-valued p is decided by refining a random
     dyadic interval until it separates from p; comparisons against the root
-    are exact, so no float ever enters.
+    are exact.
     """
     if value_cmp(p, 0) < 0 or value_cmp(p, 1) > 0:
         raise PreconditionError(f"p={p} is not a probability")

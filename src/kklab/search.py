@@ -13,17 +13,10 @@ step, and a simulated annealer over edge toggles on a fixed vertex budget
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .catalog import _GRAPH_COUNTS, _hereditary_levels
 from .counting import count_cliques, count_copies, count_cycles
-from .exact import (
-    DEFAULT_DIGITS,
-    value_cmp,
-    value_float,
-    value_mul,
-    value_to_json,
-)
+from .exact import DEFAULT_DIGITS, _power_sign, value_cmp, value_float, value_to_json
 from .expectation import _VerdictMemo, _check_sparse_input, _required_L_of, expected_copies
 from .graphs import Graph, canonical_form, parse_graph6, to_graph6
 from .montecarlo import _repair_edge, derive_rng
@@ -46,22 +39,24 @@ WARMUP_DOWNHILL = 32
 def score_pair_cmp(pair_a: tuple, pair_b: tuple, pattern_edges: int) -> int:
     """Order two (copies, expectation) score pairs without extracting roots.
 
-    The scores are (N/E)^(1/e); comparing N_1^e * E_2 against N_2^e * E_1
-    is exact.  With a shared expectation this collapses to comparing copy
-    counts, which is the hot-loop case.
+    The scores are (N/E)^(1/e), so the sign test decides
+    N_1^e * E_2 / (N_2^e * E_1) against 1 without building either side.
+    With a shared expectation this collapses to comparing copy counts,
+    which is the hot-loop case.
     """
     n1, e1 = pair_a
     n2, e2 = pair_b
     if e1 is e2 or value_cmp(e1, e2) == 0:
         return (n1 > n2) - (n1 < n2)
-    lhs = value_mul(Fraction(n1**pattern_edges), e2)
-    rhs = value_mul(Fraction(n2**pattern_edges), e1)
-    return value_cmp(lhs, rhs)
+    if not (n1 and n2 and e1 and e2):  # a side is zero
+        return bool(n1 and e2) - bool(n2 and e1)
+    return _power_sign(((n1, pattern_edges), (e2, 1), (n2, -pattern_edges), (e1, -1)))
 
 
 def _require_feasible(n: int, q) -> None:
     # a single edge is the least demanding nonempty host: C(n,2) q >= 1
-    if value_cmp(value_mul(Fraction(math.comb(n, 2)), q), 1) < 0:
+    pairs = math.comb(n, 2)
+    if not pairs or value_cmp(q, 0) <= 0 or _power_sign(((pairs, 1), (q, 1))) < 0:
         raise PreconditionError(
             f"no nonempty graph is q-sparse at n={n}: a single edge already has "
             f"expectation C({n},2)*q below 1",

@@ -4,9 +4,9 @@ Every check here is exact.  One power test, ``_power_exceeds_one``,
 decides every comparison of the form n^t * q^e > 1: the ratio bounds
 against q = n^-c, the log-form bounds, which are the ratio bounds at
 q = 1/2 (x/t < log2 n iff n^t * 2^-x > 1), and the path-length cutoff
-``ell_hat``.  Float logarithms decide it away from a tie and the exact
-power decides it within a few ulps of one.  Bounds involving the constant
-e use adaptive rational enclosures, and thresholds of the form
+``ell_hat``, through ``exact``'s sign test: float logarithms away from a
+tie, exact powers within a few ulps of one.  Bounds involving the
+constant e use adaptive rational enclosures, and thresholds of the form
 sqrt(eps)*d are compared by squaring.  Reports carry both sides and a
 verdict; a failing report is an honest outcome, not an exception.
 
@@ -27,14 +27,14 @@ from .counting import (
     packing_number,
 )
 from .exact import (
-    Root,
+    _power_sign,
     ceil_root,
     cmp_with_e_power,
     value_cmp,
     value_div,
     value_float,
     value_mul,
-    value_pow,
+    value_pow,  # kept importable from this module
     value_to_json,
 )
 from .expectation import _require_sparse, expected_copies, required_L
@@ -73,34 +73,12 @@ def _base_inputs(H: Graph, n: int, q) -> dict:
 # -- structural bounds for sparse hosts ----------------------------------------
 
 
-# the float error of _power_exceeds_one's log gap t*ln(n) + e*(ln a - ln b)/k,
-# relative to S = t*ln(n) + e*(ln a + ln b)/k, with u = 2^-53: math.log of
-# an integer x >= 2 is within 4u*ln(x) of ln x (the int-to-float rounding
-# adds at most u, under 1.5u*ln(x), and log one ulp), and the difference,
-# the division by the root degree, the conversions of e and t to floats,
-# the products with them and the final sum add at most u*S each, so the
-# gap is off by under 11u*S; the slack is 32u
-_LOG_SLACK = 2.0**-48
-
-
 def _power_exceeds_one(n: int, t: int, q, e: int) -> bool:
-    """n^t * q^e > 1, true when e = 0 or q = 1 and false when q = 0 < e.
-
-    For q = (a/b)^(1/k) float logs decide the sign of the gap
-    t*ln(n) + e*(ln a - ln b)/k wherever it exceeds a bound on its float
-    error, a few ulps of its size; the exact power decides the rest, so
+    """n^t * q^e > 1, true when e = 0 or q = 1 and false when q = 0 < e;
     a tie is never above one."""
     if e == 0 or value_cmp(q, 1) == 0:
         return True
-    base, k = (q.base, q.exp) if isinstance(q, Root) else (Fraction(q), 1)
-    if base == 0:
-        return False
-    log_a, log_b = math.log(base.numerator), math.log(base.denominator)
-    t_log_n = t * math.log(n)
-    gap = t_log_n + e * (log_a - log_b) / k
-    if abs(gap) > _LOG_SLACK * (t_log_n + e * (log_a + log_b) / k):
-        return gap > 0
-    return value_cmp(value_mul(Fraction(n) ** t, value_pow(q, e)), 1) > 0
+    return value_cmp(q, 0) > 0 and _power_sign(((n, t), (q, e))) > 0
 
 
 def verify_structure(H: Graph, n: int, q) -> list:
@@ -505,8 +483,7 @@ def ell_hat(n: int, q, delta) -> EllHatResult:
 
     Rewriting n^(1-delta*c) as n*(nq)^(-delta) removes c: with delta = s/t
     the condition is n^t * (1/(nq))^(t*l+s) > 1, which the one power test
-    of the structural bounds decides, by float logs away from a tie and by
-    the exact power near one.  A cutoff above 10^6 is refused with
+    of the structural bounds decides.  A cutoff above 10^6 is refused with
     ``ResourceGuardError``.
     """
     delta = Fraction(delta)

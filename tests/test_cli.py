@@ -12,6 +12,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -595,6 +596,34 @@ class TestRefusals:
             timeout=30, env=dict(os.environ, PYTHONPATH=SRC),
         )
         assert proc.returncode == 3 and "resource guard" in proc.stderr
+
+    def test_ellhat_refuses_without_a_huge_exact_power(self, capsys, monkeypatch):
+        from kklab import exact
+
+        real = exact._exact_power_sign
+
+        def capped(terms):
+            assert all(abs(m) <= 10**6 for _, _, m in terms), "exponent past the cap"
+            return real(terms)
+
+        monkeypatch.setattr(exact, "_exact_power_sign", capped)
+        argv = ("ellhat", "--n", "10", "--q", "1000001/10000000", "--delta", "1/2")
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and out == "" and "cutoff exceeds 1000000" in err
+
+    def test_ellhat_with_a_huge_delta_denominator(self):
+        # delta = 10^-400: the exponents are scaled before they meet a float
+        argv = ("ellhat", "--n", "10", "--q", "1/2", "--delta", "1/1" + "0" * 400)
+        start = time.perf_counter()
+        proc = subprocess.run(
+            [sys.executable, "-m", "kklab.cli", *argv], capture_output=True, text=True,
+            timeout=60, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        elapsed = time.perf_counter() - start
+        assert proc.returncode == 0, proc.stderr
+        # (nq)^l < n^(1 - delta*c) with nq = 5 tends to 5^l < 10: floor(log_5 10)
+        assert json.loads(proc.stdout)["ell_hat"] == "1"
+        assert elapsed < 5
 
     def test_repair_budget_exhaustion_is_a_refusal(self, capsys):
         code, _, err = run(

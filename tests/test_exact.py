@@ -1,10 +1,13 @@
 """Exact arithmetic: root values, enclosures, comparisons, parsing, JSON."""
 
+import math
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import kklab.exact
 from kklab import (
     Root,
     cmp_with_e_power,
@@ -111,6 +114,96 @@ class TestComparison:
         assert cmp_with_e_power(Fraction(3), 1) > 0
         assert cmp_with_e_power(Fraction(2), 1) < 0
         assert cmp_with_e_power(make_value(Fraction(55, 7), 2), 1) > 0
+
+
+def cross_multiplied_sign(factors) -> int:
+    """Sign of prod x**p - 1 over (x, p) pairs by integer cross-multiplication:
+    each factor (a/b)**(p/k) is raised to the lcm L of the k, and a**m goes
+    to the side its exponent's sign picks."""
+    parts = []
+    for x, p in factors:
+        base, k = (x.base, x.exp) if isinstance(x, Root) else (Fraction(x), 1)
+        parts.append((base.numerator, base.denominator, p, k))
+    lcm = math.lcm(*(k for *_, k in parts))
+    lhs = rhs = 1
+    for a, b, p, k in parts:
+        m = p * lcm // k
+        if m >= 0:
+            lhs, rhs = lhs * a**m, rhs * b**m
+        else:
+            lhs, rhs = lhs * b**-m, rhs * a**-m
+    return (lhs > rhs) - (lhs < rhs)
+
+
+q_k3 = make_value(Fraction(1, 120), 3)  # q_min(K3, 10)
+
+TIES = [
+    # n^t * q^e at the five ties of the verifier's power test
+    ((125, 2), (Fraction(1, 25), 3)),
+    ((128, 3), (Fraction(1, 8), 7)),
+    ((16, 1), (Fraction(1, 2), 4)),
+    ((8, 8), (Fraction(1, 2), 24)),
+    ((2, 1), (make_value(Fraction(1, 2), 2), 2)),
+    # K3's binding class at q_min(K3, 10): (10)_3/6 * q^3 = 1
+    ((720, 1), (6, -1), (q_k3, 3)),
+    # the same class against the threshold itself, and 2^(1/2 + 1/3 - 5/6)
+    ((q_k3, 1), (make_value(Fraction(1, 120), 3), -1)),
+    ((make_value(2, 2), 1), (make_value(2, 3), 1), (make_value(2, 6), -5)),
+]
+
+positive_values = st.builds(
+    make_value,
+    st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+    st.integers(min_value=1, max_value=4),
+)
+factor_lists = st.lists(
+    st.tuples(positive_values, st.integers(min_value=-6, max_value=6)), max_size=4
+)
+
+
+class TestPowerSign:
+    """The one sign test of prod x**p against 1, against cross-multiplication."""
+
+    @pytest.mark.parametrize("factors", TIES)
+    def test_ties_are_zero(self, factors, monkeypatch):
+        exact_calls = []
+        real = kklab.exact._exact_power_sign
+
+        def spy(terms):
+            exact_calls.append(terms)
+            return real(terms)
+
+        monkeypatch.setattr(kklab.exact, "_exact_power_sign", spy)
+        assert cross_multiplied_sign(factors) == 0
+        assert kklab.exact._power_sign(factors) == 0
+        # a tie sits inside the float band, so the integer powers decided it
+        assert len(exact_calls) == 1
+
+    @settings(derandomize=True)
+    @given(factor_lists)
+    def test_small_random_terms(self, factors):
+        assert kklab.exact._power_sign(factors) == cross_multiplied_sign(factors)
+        # with every factor cancelled the product is exactly 1
+        cancelled = factors + [(x, -p) for x, p in factors]
+        assert kklab.exact._power_sign(cancelled) == cross_multiplied_sign(cancelled) == 0
+
+    @pytest.mark.parametrize("factors", TIES[:2])
+    def test_zero_slack_mutant_gets_the_close_ties_wrong(self, factors, monkeypatch):
+        # the float gap of these two ties is 1.8e-15 before scaling: only the
+        # slack sends them to the exact powers
+        monkeypatch.setattr(kklab.exact, "_LOG_SLACK", 0.0)
+        assert kklab.exact._power_sign(factors) != cross_multiplied_sign(factors) == 0
+
+    def test_kk3_thresholds_at_k_300_in_under_a_second(self):
+        # kK3's threshold at n = 10^6 is a root of degree 3k
+        n, k = 10**6, 300
+        start = time.perf_counter()
+        lower = make_value(Fraction(6**k * math.factorial(k), math.perm(n, 3 * k)), 3 * k)
+        upper = make_value(
+            Fraction(6 ** (k + 1) * math.factorial(k + 1), math.perm(n, 3 * k + 3)), 3 * k + 3
+        )
+        assert value_cmp(lower, upper) == -1
+        assert time.perf_counter() - start < 1.0
 
 
 class TestArithmetic:

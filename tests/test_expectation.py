@@ -1,11 +1,16 @@
 """Sparsity thresholds: expectations, q_min, p_E, required_L, crude bound."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+import kklab
 from kklab import (
     EdgeCapError,
     Graph,
@@ -130,6 +135,22 @@ class TestSparseCheck:
         q = q_min(single, n).threshold
         assert is_q_sparse(single, n, q).sparse
         assert not is_q_sparse(pair, n, q).sparse
+
+    def test_q_the_millionth_root_of_one_half(self):
+        # q = 2^(-1/10^6): each class's verdict is a sign, so no product
+        # with q's millionth root is ever built
+        code = (
+            "from fractions import Fraction\n"
+            "from kklab import complete_graph, is_q_sparse, make_value\n"
+            "q = make_value(Fraction(1, 2), 10**6)\n"
+            "print(is_q_sparse(complete_graph(3), 10, q).sparse)\n"
+        )
+        src = str(pathlib.Path(kklab.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=10,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert proc.returncode == 0 and proc.stdout == "True\n", proc.stderr
 
 
 class TestExpectationThreshold:

@@ -202,7 +202,7 @@ class TestParity:
 
     def test_pickle_and_copy(self, record):
         # a record pickles and deep-copies wherever its field values do
-        # (a Graph does neither, for a frozen dataclass as well)
+        # (a Graph, itself a Record, does both)
         for given in RECORDS[record][2]:
             value = record(*given)
             twins = [copy.copy(value)]

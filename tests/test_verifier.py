@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import kklab.counting
+import kklab.exact
 import kklab.expectation
 import kklab.verifier
 from kklab import (
@@ -84,6 +85,18 @@ RATIO_QS = [
 ]
 
 
+def cap_exact_powers(monkeypatch, cap=10**6):
+    """Fail any exact fallback of the sign test that would raise a base to
+    an exponent past cap."""
+    real = kklab.exact._exact_power_sign
+
+    def capped(terms):
+        assert all(abs(m) <= cap for _, _, m in terms), "exponent past the cap"
+        return real(terms)
+
+    monkeypatch.setattr(kklab.exact, "_exact_power_sign", capped)
+
+
 def exact_power_exceeds_one(n, t, q, e) -> bool:
     """n^t * q^e > 1 by the exact power, true when e = 0 or q = 1."""
     if e == 0 or value_cmp(q, 1) == 0:
@@ -117,6 +130,12 @@ class TestRatioBounds:
         ratios = [r.verdict for r in reports if r.prop_id.endswith("ratio-bound")]
         assert ratios == [True, True]
         assert calls == []
+
+    def test_a_million_vertices_take_no_huge_exact_power(self, monkeypatch):
+        cap_exact_powers(monkeypatch)
+        reports = verify_structure(complete_graph(3), 10**6, Fraction(1, 2))
+        ratios = [r.verdict for r in reports if r.prop_id.endswith("ratio-bound")]
+        assert ratios == [True, True]
 
     @pytest.mark.parametrize(
         "n,t,q,e",
@@ -384,6 +403,12 @@ def test_ell_hat_refuses_near_the_cap_without_the_huge_power(monkeypatch):
         return value_pow(x, k)
 
     monkeypatch.setattr(kklab.verifier, "value_pow", small_pow)
+    with pytest.raises(ResourceGuardError, match="cutoff exceeds 1000000"):
+        ell_hat(10, Fraction(229973, 2299725), Fraction(1, 2))
+
+
+def test_ell_hat_refuses_near_the_cap_without_a_huge_exact_power(monkeypatch):
+    cap_exact_powers(monkeypatch)
     with pytest.raises(ResourceGuardError, match="cutoff exceeds 1000000"):
         ell_hat(10, Fraction(229973, 2299725), Fraction(1, 2))
 

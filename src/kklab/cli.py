@@ -14,16 +14,17 @@ is a defect and surfaces as an uncaught exception.
 
 Import layers: importing this module loads only the base layers that
 graph loading and the exit-code mapping need: ``util``, ``graphs`` and
-``counting``.  ``counting`` is one of them because it owns
-``ResourceGuardError``, which ``main`` maps to exit code 3, and because
-every upper layer imports it anyway.  ``exact`` is imported by the
-argument converters and handlers that use it, ``csv`` by ``util.csv_text``
-when a table is rendered, and each handler imports the upper layer it
-runs (``expectation``, ``verifier``, ``montecarlo`` or ``search``) when
-it runs.  ``main`` builds the subparser of the one subcommand it runs.
-So a command starts up on the layers it uses and no others: the
-graph-level commands (``aut``, ``count``, ``pack``, ``gamma``,
-``density``) on the three base layers, without ``exact`` or ``csv``.
+``counting``.  ``util`` owns the refusal types ``main`` maps to exit
+codes 2 and 3; ``counting`` is one of them because the graph-level
+commands run it and every upper layer imports it anyway.  ``exact`` is
+imported by the argument converters and handlers that use it, ``csv`` by
+``util.csv_text`` when a table is rendered, and each handler imports the
+upper layer it runs (``expectation``, ``verifier``, ``montecarlo`` or
+``search``) when it runs.  ``main`` builds the subparser of the one
+subcommand it runs.  So a command starts up on the layers it uses and
+no others: the graph-level commands (``aut``, ``count``, ``pack``,
+``gamma``, ``density``) on the three base layers, without ``exact`` or
+``csv``.
 No command loads ``dataclasses``: every result record is a
 ``util.Record``.
 """
@@ -38,7 +39,6 @@ import time
 from fractions import Fraction
 
 from .counting import (
-    ResourceGuardError,
     count_cliques,
     count_copies,
     count_cycles,
@@ -80,6 +80,7 @@ from .util import (
     SWEEP_VERTEX_CAP,
     EdgeCapError,
     PreconditionError,
+    ResourceGuardError,
     csv_text,
 )
 

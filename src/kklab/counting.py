@@ -32,15 +32,11 @@ clique order below 1) raises ``util.PreconditionError``.
 from functools import lru_cache
 
 from .graphs import Graph, automorphism_count, degeneracy_order
-from .util import PreconditionError, iter_bits
+from .util import PreconditionError, ResourceGuardError, iter_bits
 
 DEFAULT_NODE_BUDGET = 50_000_000
 DEFAULT_COPY_CAP = 200_000
 _PLAN_MEMO_CAP = 256  # distinct patterns; a run uses a handful
-
-
-class ResourceGuardError(RuntimeError):
-    """Work refused because it would exceed a configured resource budget."""
 
 
 class _Budget:

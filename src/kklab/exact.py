@@ -5,23 +5,31 @@ thresholds, required scale factors) are k-th roots of explicit positive
 rationals.  ``Root`` keeps them in the symbolic form ``base ** (1/exp)``;
 a comparison is the sign of a product of rational powers against 1, which
 ``_power_sign`` decides by float logs outside a proven error band and by
-exact integer powers inside it.  The normal form takes exact roots prime
-by prime: for each prime p of exp, while the base is an exact p-th power,
-it becomes its p-th root and exp loses a factor p.  A base that is at most
-an m-th power ends at exp / gcd(exp, m), the base 1 at exp 1, so the form
-is unique.  Decimal digits appear only on output, as an enclosing interval
-at a requested precision (default 12 digits).
+exact integer powers inside it.  The subset scans compare two class
+thresholds by the same test on their (v, e, aut) keys
+(``expectation._threshold_sign``), without building a ``Root``.  The
+normal form takes exact roots prime by prime: for each prime p of exp,
+while the base is an exact p-th power, it becomes its p-th root and exp
+loses a factor p.  A base that is at most an m-th power ends at
+exp / gcd(exp, m), the base 1 at exp 1, so the form is unique.  Decimal
+digits appear only on output, as an enclosing interval at a requested
+precision (default 12 digits).
 
 Comparisons against multiples of Euler's number (needed by a couple of
 verified inequalities) use adaptively refined rational enclosures of e; the
 quantities compared are never exactly equal to such multiples, so the
 refinement always terminates with a strict verdict.
+
+A parsed ``root:V:K`` token with K above ``util.ROOT_EXPONENT_CAP`` is
+refused with ``ResourceGuardError``: its enclosure raises 10^digits to
+the K-th power, and its products raise whole rationals to it.
 """
 
 import math
 from fractions import Fraction
 
 from .util import DEFAULT_DIGITS  # re-exported from its old home
+from .util import ROOT_EXPONENT_CAP, ResourceGuardError
 
 Rat = int | Fraction
 
@@ -295,13 +303,17 @@ def value_cmp(x, y) -> int:
 
 
 def value_float(x: ExactValue) -> float:
-    if isinstance(x, Root):
-        return float(x)
-    x = Fraction(x)
-    if abs(x.numerator) < 1 << 52 and x.denominator < 1 << 52:
-        return x.numerator / x.denominator
-    sign = -1.0 if x < 0 else 1.0
-    return sign * math.exp(math.log(abs(x.numerator)) - math.log(x.denominator))
+    """An approximate float of x, +-inf past the float range."""
+    try:
+        if isinstance(x, Root):
+            return float(x)
+        x = Fraction(x)
+        if abs(x.numerator) < 1 << 52 and x.denominator < 1 << 52:
+            return x.numerator / x.denominator
+        sign = -1.0 if x < 0 else 1.0
+        return sign * math.exp(math.log(abs(x.numerator)) - math.log(x.denominator))
+    except OverflowError:
+        return -math.inf if x < 0 else math.inf
 
 
 # -- enclosures of e ------------------------------------------------------
@@ -408,7 +420,8 @@ def parse_rational(text: str) -> Fraction:
 
 
 def parse_exact(text: str) -> ExactValue:
-    """Parse a rational or a "root:VALUE:K" token meaning VALUE ** (-1/K).
+    """Parse a rational or a "root:VALUE:K" token meaning VALUE ** (-1/K);
+    a K above ``ROOT_EXPONENT_CAP`` is refused with ``ResourceGuardError``.
 
     The token shape matches how threshold reports print their exact value
     (a copy count N and an edge count e encode the threshold N**(-1/e)), so
@@ -423,5 +436,10 @@ def parse_exact(text: str) -> ExactValue:
         exp = int(parts[2])
         if base <= 0 or exp < 1:
             raise ValueError(f"root token out of range: {text!r}")
+        if exp > ROOT_EXPONENT_CAP:
+            raise ResourceGuardError(
+                f"root exponent {exp} exceeds the cap of {ROOT_EXPONENT_CAP}; "
+                "exact powers and enclosures grow with the exponent"
+            )
         return make_value(1 / base, exp)
     return parse_rational(s)

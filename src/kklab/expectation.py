@@ -14,6 +14,9 @@ subset only through (v_I, e_I, aut_I), so the scan aggregates subsets
 into classes keyed by that triple.  All verdicts are exact: each is the
 sign of N * q^e - 1, decided by ``exact``'s sign test, whose float logs
 decide only outside their proven error band and exact powers inside it.
+Two class thresholds are compared on their keys by the same sign test
+(``_threshold_sign``), so a threshold becomes a ``Root`` only in the
+report rows that print it.
 
 Every scan is one walker feeding one of two sinks.  The walker,
 ``_gray_steps``, visits the nonempty edge subsets in Gray-code order and
@@ -315,21 +318,17 @@ def _pruned_classes(H: Graph, n: int, target_den: int) -> dict:
     the full table, and their maximum is the exact threshold.
     """
     auts: dict = {}
-    t_start = max(
-        (
-            _class_threshold(n, target_den, *_class_of_mask(H, mask, auts)[0])
-            for mask in (*_seed_masks(H), 1)
-        ),
-        key=cmp_to_key(value_cmp),
-    )
+    seed = None
+    for mask in (*_seed_masks(H), 1):
+        key = _class_of_mask(H, mask, auts)[0]
+        if seed is None or _threshold_sign(n, target_den, key, seed) > 0:
+            seed = key
     caps: dict = {}
 
     def reaches_start(key) -> bool:
         hit = caps.get(key)
         if hit is None:
-            hit = caps[key] = (
-                value_cmp(_class_threshold(n, target_den, *key), t_start) >= 0
-            )
+            hit = caps[key] = _threshold_sign(n, target_den, key, seed) >= 0
         return hit
 
     kept = []
@@ -395,6 +394,15 @@ def _class_threshold(n: int, target_den: int, v: int, e: int, aut: int) -> Exact
     return make_value(Fraction(aut, target_den * math.perm(n, v)), e)
 
 
+def _threshold_sign(n: int, target_den: int, a: tuple, b: tuple) -> int:
+    """Sign of the threshold of class key a = (v, e, aut) minus that of b,
+    by one sign test of their (e_a * e_b)-th powers, with no Root built."""
+    (va, ea, auta), (vb, eb, autb) = a, b
+    x_a = Fraction(auta, target_den * math.perm(n, va))
+    x_b = Fraction(autb, target_den * math.perm(n, vb))
+    return _power_sign(((x_a, eb), (x_b, -ea)))
+
+
 def _build_report(
     H: Graph,
     n: int,
@@ -409,22 +417,13 @@ def _build_report(
     lex-min edge tuple among the rows that tie with it."""
 
     def row_cmp(a, b):
-        c = value_cmp(a[0], b[0])
-        if c:
-            return -c
-        return (a[1:4] > b[1:4]) - (a[1:4] < b[1:4])
+        return _threshold_sign(n, target_den, b[0], a[0]) or (a[0] > b[0]) - (a[0] < b[0])
 
-    rows = sorted(
-        (
-            (_class_threshold(n, target_den, v, e, aut), v, e, aut, count, tup)
-            for (v, e, aut), (count, tup) in classes.items()
-        ),
-        key=cmp_to_key(row_cmp),
-    )
+    rows = sorted(classes.items(), key=cmp_to_key(row_cmp))
     best = rows[0][0]
-    _, bv, be, baut, _, witness_tup = min(
-        takewhile(lambda row: value_cmp(row[0], best) == 0, rows),
-        key=lambda row: row[5],
+    (bv, be, baut), (_, witness_tup) = min(
+        takewhile(lambda row: _threshold_sign(n, target_den, row[0], best) == 0, rows),
+        key=lambda row: row[1][1],
     )
     table = tuple(
         ThresholdClass(
@@ -433,19 +432,19 @@ def _build_report(
             e=e,
             aut=aut,
             subsets=count,
-            threshold=thr,
+            threshold=_class_threshold(n, target_den, v, e, aut),
         )
-        for thr, v, e, aut, count, tup in rows
+        for (v, e, aut), (count, tup) in rows
     )
     return SparsityReport(
         n=n,
         target_den=target_den,
-        threshold=best,
+        threshold=table[0].threshold,
         base_pair=(target_den * (math.perm(n, bv) // baut), be),
         witness=Graph(H.n, witness_tup).induced(sum(witness_tup, ())),
         witness_edges=witness_tup,
         classes=table,
-        enclosure=decimal_enclosure(best, digits),
+        enclosure=decimal_enclosure(table[0].threshold, digits),
         lower_bound_only=lower_bound_only,
         table_complete=table_complete,
     )
@@ -630,11 +629,12 @@ class _VerdictMemo:
     serve many hosts.  max_edges bounds e.
     """
 
-    __slots__ = ("n", "powers", "verdicts", "auts", "safe")
+    __slots__ = ("n", "q", "max_edges", "verdicts", "auts", "safe")
 
     def __init__(self, n: int, q, max_edges: int):
         self.n = n
-        self.powers = [Fraction(1)] + [value_pow(q, e) for e in range(1, max_edges + 1)]
+        self.q = q
+        self.max_edges = max_edges
         self.verdicts: dict = {}
         self.auts: dict = {}
         self.safe: dict = {}
@@ -653,10 +653,10 @@ class _VerdictMemo:
         """
         bound = self.safe.get(v_cap)
         if bound is None:
-            bound = len(self.powers) - 1
-            for e in range(1, len(self.powers)):
+            bound = self.max_edges
+            for e in range(1, self.max_edges + 1):
                 if any(
-                    e <= math.comb(v, 2) and self.below_one(v, e, math.factorial(v)) is not False
+                    e <= math.comb(v, 2) and self.below_one(v, e, math.factorial(v))
                     for v in range(2, min(2 * e, v_cap) + 1)
                 ):
                     bound = e - 1
@@ -684,7 +684,7 @@ class _VerdictMemo:
                 f"cannot certify {m} edges: exact scan capped at {edge_cap} and the "
                 "quick disproof found no violation"
             )
-        return next(self.violations(H), None) is None
+        return next(self.violators(H), None) is None
 
     def seeds_violate(self, H: Graph) -> bool:
         """The quick disproof: does H's full edge set or its densest part
@@ -692,42 +692,47 @@ class _VerdictMemo:
         full edge set passes."""
         return any(self.violation(H, mask) for mask in _seed_masks(H))
 
-    def below_one(self, v: int, e: int, cap: int):
-        """(n)_v/cap * q^e when it is below 1, else False.  With cap = aut
-        this is the subset's exact verdict; with any larger cap it is a test
-        that may only clear the subset.  The sign test decides first, so
-        the product is built only when it is below 1."""
+    def below_one(self, v: int, e: int, cap: int) -> bool:
+        """Is (n)_v/cap * q^e below 1?  With cap = aut this is the subset's
+        exact verdict; with any larger cap it is a test that may only clear
+        the subset.  No power of q is built: the sign test takes (q, e)."""
         key = (v, e, cap)
         hit = self.verdicts.get(key)
         if hit is None:
-            perm, power = math.perm(self.n, v), self.powers[e]
-            below = not perm or not power or _power_sign(((perm, 1), (cap, -1), (power, 1))) < 0
-            hit = self.verdicts[key] = below and value_mul(Fraction(perm, cap), power)
+            perm = math.perm(self.n, v)
+            hit = self.verdicts[key] = (
+                not perm or not self.q or _power_sign(((perm, 1), (cap, -1), (self.q, e))) < 0
+            )
         return hit
 
     def violation(self, H: Graph, subset):
-        """(expectation, edge tuple) when this edge subset of H (a mask or
+        """((v, e, aut), edge tuple) when this edge subset of H (a mask or
         its profile) has expectation below 1, else None."""
         if len(self.auts) >= _AUT_MEMO_CAP:
             self.auts.clear()
         key, tup = _class_of_mask(H, subset, self.auts)
-        expectation = self.below_one(*key)
-        return None if expectation is False else (expectation, tup)
+        return (key, tup) if self.below_one(*key) else None
 
-    def violations(self, H: Graph, required_edge: int | None = None):
-        """Yield (expectation, edge tuple) for every violating edge subset of
-        H in scan order, only subsets through edge index required_edge when
-        it is given."""
+    def violators(self, H: Graph, required_edge: int | None = None):
+        """Yield ((v, e, aut), edge tuple) for every violating edge subset
+        of H in scan order, only subsets through edge index required_edge
+        when it is given."""
         req_bit = 0 if required_edge is None else 1 << required_edge
         for mask, v, e, sym in _gray_steps(H):
             # the walker's (v, e, sym) settles most subsets before any
             # extraction, and the signature cap most of the rest
-            if mask & req_bit == req_bit and self.below_one(v, e, sym) is not False:
+            if mask & req_bit == req_bit and self.below_one(v, e, sym):
                 profile = _subset_profile(H, mask)
-                if self.below_one(*_signature_key(H, profile)) is not False:
+                if self.below_one(*_signature_key(H, profile)):
                     hit = self.violation(H, profile)
                     if hit is not None:
                         yield hit
+
+    def violations(self, H: Graph, required_edge: int | None = None):
+        """``violators`` with each class key replaced by the subset's
+        expectation (n)_v/aut * q^e, built only for the violators read."""
+        for (v, e, aut), tup in self.violators(H, required_edge):
+            yield value_mul(Fraction(math.perm(self.n, v), aut), value_pow(self.q, e)), tup
 
 
 def _violation_cmp(a: tuple, b: tuple) -> int:

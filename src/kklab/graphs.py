@@ -27,7 +27,7 @@ and the labeling tries one vertex per twin class at each position.
 import math
 from fractions import Fraction
 
-from .util import Record, iter_bits
+from .util import PreconditionError, Record, iter_bits
 
 
 class GraphParseError(ValueError):
@@ -410,7 +410,7 @@ class DensityValue(Record):
 def density(g: Graph) -> Fraction:
     """e/v of the whole graph; needs at least one vertex."""
     if g.n == 0:
-        raise ValueError("density of the empty graph is undefined")
+        raise PreconditionError("density of the empty graph is undefined")
     return Fraction(g.edge_count, g.n)
 
 
@@ -446,7 +446,7 @@ def _edge_mask_within(g: Graph, vmask: int) -> int:
 def max_density_bruteforce(g: Graph, vertex_limit: int = 20) -> DensityValue:
     """Exact max over nonempty subsets by enumeration (guard at vertex_limit)."""
     if g.n == 0:
-        raise ValueError("max density of the empty graph is undefined")
+        raise PreconditionError("max density of the empty graph is undefined")
     if g.n > vertex_limit:
         raise ValueError(f"subset enumeration capped at {vertex_limit} vertices")
     if g.edge_count == 0:
@@ -549,7 +549,7 @@ def max_density(g: Graph) -> DensityValue:
     most v distinct denominators, so the ascent terminates at the optimum.
     """
     if g.n == 0:
-        raise ValueError("max density of the empty graph is undefined")
+        raise PreconditionError("max density of the empty graph is undefined")
     if g.edge_count == 0:
         return DensityValue(0, 1, (0,))
     mask = g.vertex_mask()

@@ -52,7 +52,7 @@ from functools import lru_cache
 from itertools import combinations, compress
 from statistics import NormalDist
 
-from .counting import ResourceGuardError, _has_copy
+from .counting import DEFAULT_NODE_BUDGET, ResourceGuardError, _has_copy
 from .exact import Root, format_fraction, value_cmp, value_mul
 from .graphs import (
     Graph,
@@ -118,6 +118,10 @@ def bernoulli(rng: random.Random, p) -> bool:
     return rng.randrange(p.denominator) < p.numerator
 
 
+# the most pairs one G(n,p) sample draws: n = 1448 vertices
+_GNP_PAIR_CAP = 1 << 20
+
+
 @lru_cache(maxsize=32, typed=True)
 def _gnp_plan(n: int, p) -> tuple:
     # (pairs, p, byte tables), checked and built once per (n, p); typed,
@@ -127,6 +131,12 @@ def _gnp_plan(n: int, p) -> tuple:
         raise PreconditionError(f"vertex count {n} is negative")
     if value_cmp(p, 0) < 0 or value_cmp(p, 1) > 0:
         raise PreconditionError(f"p={p} is not a probability")
+    size = math.comb(n, 2)
+    if size > _GNP_PAIR_CAP:
+        raise ResourceGuardError(
+            f"a G(n,p) sample on {n} vertices draws {size} pairs, "
+            f"past the cap of {_GNP_PAIR_CAP}"
+        )
     pairs = tuple(combinations(range(n), 2))
     if isinstance(p, Root):
         return pairs, p, None
@@ -283,8 +293,16 @@ def estimate_pc(plan: TrialPlan, threads: int = 1) -> EstimateResult:
     through monotonicity: its low end is the largest probe shown below the
     crossing with confidence, its high end the smallest probe shown above.
     That interval always contains the point estimate.  ``threads`` is
-    accepted for compatibility and ignored: trials run serially.
+    accepted for compatibility and ignored: trials run serially.  A probe
+    of more than ``DEFAULT_NODE_BUDGET`` pair draws (trials * C(n,2)) is
+    refused before any sample is drawn.
     """
+    draws = plan.trials * math.comb(plan.n, 2)
+    if draws > DEFAULT_NODE_BUDGET:
+        raise ResourceGuardError(
+            f"a probe of {plan.trials} samples draws {draws} pairs, "
+            f"past the budget of {DEFAULT_NODE_BUDGET}"
+        )
     lo, hi = Fraction(0), Fraction(1)
     probes = []
     while hi - lo >= plan.tolerance:

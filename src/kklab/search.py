@@ -297,7 +297,7 @@ def extremal_search(
                 return None, "cap"
             probe = host(mask)
             # the toggled edge's index among the sorted edges
-            hit = next(memo.violations(probe, (mask & (bit - 1)).bit_count()), None)
+            hit = next(memo.violators(probe, (mask & (bit - 1)).bit_count()), None)
             if hit is None:
                 return mask, None
             drop = 1 << pairs.index(_repair_edge(probe, hit[1]))

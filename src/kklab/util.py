@@ -2,20 +2,23 @@
 
 Besides bit iteration, the one CSV writer and ``Record``, the frozen-record
 base that ``Graph`` and every result type are built on, this module holds
-the two refusal types every layer may raise (``PreconditionError`` and
-``EdgeCapError``) and the defaults the CLI parser shows: the enclosure
-precision of ``exact``, the subset-scan caps of ``expectation``, the Monte
-Carlo defaults and generator families of ``montecarlo``, and the annealer
-and sweep limits of ``search``.  Those modules re-export them, so each
-name has one object wherever it is imported from, and building the parser
+the refusal types every layer may raise (``PreconditionError``,
+``EdgeCapError`` and ``ResourceGuardError``) and the defaults and limits
+the CLI states: the enclosure precision and root-exponent cap of
+``exact``, the subset-scan caps of ``expectation``, the Monte Carlo
+defaults and generator families of ``montecarlo``, and the annealer and
+sweep limits of ``search``.  Those modules re-export them, so each name
+has one object wherever it is imported from, and building the parser
 imports none of those upper layers.
 """
 
 import sys
 from fractions import Fraction
 
-# exact: decimal digits in enclosures
+# exact: decimal digits in enclosures, and the largest K of a root:V:K
+# token (printing V^(-1/K) raises 10^digits to the K-th power)
 DEFAULT_DIGITS = 12
+ROOT_EXPONENT_CAP = 300
 
 # expectation: exact subset scans
 DEFAULT_EDGE_CAP = 24
@@ -44,6 +47,10 @@ class PreconditionError(ValueError):
 
 class EdgeCapError(RuntimeError):
     """Exact subset scan refused; use heuristic mode or raise the cap."""
+
+
+class ResourceGuardError(RuntimeError):
+    """Work refused because it would exceed a configured resource budget."""
 
 
 # from Python 3.14 a class body compiled without ``from __future__ import

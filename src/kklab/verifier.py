@@ -105,7 +105,7 @@ def verify_structure(H: Graph, n: int, q) -> list:
             inputs=inputs,
             lhs=str(delta),
             rhs=f"max(log2({n}), 2*e*{n}*q) ~ "
-            f"{max(math.log2(n), 2 * math.e * n * value_float(q)):.6g}",
+            f"{max(math.log2(n), 2 * math.e * value_float(n) * value_float(q)):.6g}",
             verdict=log_ok or lin_ok,
         )
     )
@@ -142,7 +142,7 @@ def verify_structure(H: Graph, n: int, q) -> list:
             prop_id="edge-count-log-bound",
             inputs=inputs,
             lhs=str(e_h),
-            rhs=f"{n}*log2({n}) ~ {n * math.log2(n):.6g}",
+            rhs=f"{n}*log2({n}) ~ {value_float(n) * math.log2(n):.6g}",
             verdict=_power_exceeds_one(n, n, Fraction(1, 2), e_h),
             note=regime_note,
         )

@@ -81,6 +81,7 @@ from .util import (
     EdgeCapError,
     PreconditionError,
     ResourceGuardError,
+    _int_text,
     csv_text,
 )
 
@@ -287,7 +288,7 @@ def _sparsity_doc(report, label: str, digits: int) -> dict:
 
     return {
         label: value_to_json(report.threshold, digits),
-        "base_pair": [str(report.base_pair[0]), report.base_pair[1]],
+        "base_pair": [_int_text(report.base_pair[0]), report.base_pair[1]],
         "enclosure": list(report.enclosure),
         "n": report.n,
         "witness6": to_graph6(report.witness),
@@ -298,7 +299,7 @@ def _sparsity_doc(report, label: str, digits: int) -> dict:
                 "v": c.v,
                 "e": c.e,
                 "aut": c.aut,
-                "subsets": str(c.subsets),
+                "subsets": _int_text(c.subsets),
                 "threshold": value_to_json(c.threshold, digits),
             }
             for c in report.classes
@@ -343,13 +344,13 @@ def _cmd_count(args):
                 host, args.x, args.y, args.param, node_budget=args.node_budget
             )
     elapsed = time.perf_counter() - start
-    return {"count": str(value), "elapsed_s": round(elapsed, 6)}, None
+    return {"count": _int_text(value), "elapsed_s": round(elapsed, 6)}, None
 
 
 def _cmd_gamma(args):
     host = load_graph(args.graph)
     value, pair = max_xy_paths(host, args.length, node_budget=args.node_budget)
-    return {"gamma": str(value), "pair": list(pair)}, None
+    return {"gamma": _int_text(value), "pair": list(pair)}, None
 
 
 def _cmd_pack(args):
@@ -358,7 +359,7 @@ def _cmd_pack(args):
     value = packing_number(
         host, pattern, mode=args.mode, copy_cap=args.copy_cap, node_budget=args.node_budget
     )
-    return {"packing": str(value), "mode": args.mode}, None
+    return {"packing": _int_text(value), "mode": args.mode}, None
 
 
 def _cmd_density(args):
@@ -372,7 +373,7 @@ def _cmd_density(args):
 
 def _cmd_aut(args):
     host = load_graph(args.graph)
-    return {"aut": str(automorphism_count(host))}, None
+    return {"aut": _int_text(automorphism_count(host))}, None
 
 
 def _cmd_qmin(args):
@@ -451,7 +452,7 @@ def _cmd_required_l(args):
     return {
         "required_L": value_to_json(req.value, args.precision),
         "enclosure": list(req.enclosure),
-        "N": str(req.copies),
+        "N": _int_text(req.copies),
         "E_q": value_to_json(req.expectation, args.precision),
         "pattern_edges": req.pattern_edges,
     }, None
@@ -489,9 +490,9 @@ def _cmd_verify_legal(args):
 
     result = count_legal_sequences(args.f, args.eps, args.d, args.D, args.d_cap)
     return {
-        "count": str(result.count),
+        "count": _int_text(result.count),
         "big_threshold": result.big_threshold,
-        "bound": str(result.bound),
+        "bound": _int_text(result.bound),
         "bound_applicable": result.bound_applicable,
         "bound_holds": result.bound_holds,
     }, None
@@ -521,8 +522,8 @@ def _cmd_peel(args):
     )
     return {
         "surviving": list(result.surviving),
-        "degrees": [str(d) for d in result.degrees],
-        "total_copies": str(result.total_copies),
+        "degrees": [_int_text(d) for d in result.degrees],
+        "total_copies": _int_text(result.total_copies),
     }, None
 
 
@@ -532,7 +533,7 @@ def _cmd_ellhat(args):
 
     result = ell_hat(args.n, args.q, args.delta)
     return {
-        "ell_hat": str(result.value),
+        "ell_hat": _int_text(result.value),
         "n": result.n,
         "delta": format_fraction(result.delta),
         "at_value_ok": result.at_value_ok,

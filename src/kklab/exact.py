@@ -2,34 +2,39 @@
 
 Threshold quantities in this package (minimal sparse q, expectation
 thresholds, required scale factors) are k-th roots of explicit positive
-rationals.  ``Root`` keeps them in the symbolic form ``base ** (1/exp)``;
-a comparison is the sign of a product of rational powers against 1, which
-``_power_sign`` decides by float logs outside a proven error band and by
-exact integer powers inside it.  The subset scans compare two class
-thresholds by the same test on their (v, e, aut) keys
-(``expectation._threshold_sign``), without building a ``Root``.  The
-normal form takes exact roots prime by prime: for each prime p of exp,
+rationals.  ``Root`` keeps them in the symbolic form ``base ** (1/exp)``.
+The normal form takes exact roots prime by prime: for each prime p of exp,
 while the base is an exact p-th power, it becomes its p-th root and exp
 loses a factor p.  A base that is at most an m-th power ends at
-exp / gcd(exp, m), the base 1 at exp 1, so the form is unique.  Decimal
-digits appear only on output, as an enclosing interval at a requested
-precision (default 12 digits).
+exp / gcd(exp, m), the base 1 at exp 1, so the form is unique.
 
-Comparisons against multiples of Euler's number (needed by a couple of
-verified inequalities) use adaptively refined rational enclosures of e; the
-quantities compared are never exactly equal to such multiples, so the
-refinement always terminates with a strict verdict.
+A Root has no arithmetic of its own: the ``value_*`` functions are the one
+arithmetic on exact values, on one view ``_parts`` of each operand as
+(base, exp) with x = base ** (1/exp), where an int or Fraction x is (x, 1).
+The product of a^(1/k) and b^(1/l) is the L-th root of a^(L/k) * b^(L/l),
+L = lcm(k, l), and a product with a Root takes positive factors only.
+A comparison is the sign of a product of rational powers against 1, which
+``_power_sign`` decides by float logs outside a proven error band and by
+exact integer powers inside it; the subset scans compare class thresholds
+by the same test on their (v, e, aut) keys (``expectation._threshold_sign``).
 
-A parsed ``root:V:K`` token with K above ``util.ROOT_EXPONENT_CAP`` is
-refused with ``ResourceGuardError``: its enclosure raises 10^digits to
-the K-th power, and its products raise whole rationals to it.
+Decimal digits appear only on output, as an enclosing interval at a
+requested precision (default 12 digits).  Every integer that output
+prints, in an enclosure or a ``format_fraction`` text, goes through
+``util._int_text``, which refuses with ``ResourceGuardError`` one past the
+interpreter's limit for integer-to-string conversion.
+Comparisons against multiples of Euler's number use adaptively refined
+rational enclosures of e, which never equals the algebraic values compared,
+so the refinement always ends with a strict verdict.  A parsed ``root:V:K``
+token with K above ``util.ROOT_EXPONENT_CAP`` is refused with
+``ResourceGuardError``: its enclosure raises 10^digits to the K-th power.
 """
 
 import math
 from fractions import Fraction
 
 from .util import DEFAULT_DIGITS  # re-exported from its old home
-from .util import ROOT_EXPONENT_CAP, ResourceGuardError
+from .util import ROOT_EXPONENT_CAP, ResourceGuardError, _int_text
 
 Rat = int | Fraction
 
@@ -73,12 +78,9 @@ def ceil_root(value: Fraction, n: int) -> int:
 
 
 class Root:
-    """The positive real ``base ** (1/exp)`` with rational base > 0.
-
-    Normalization extracts exact k-th roots, so ``Root(Fraction(8), 3)``
-    compares equal to the rational 2 and reports itself rational.  Ordering
-    against rationals and other roots is exact (``_power_sign``).
-    """
+    """The positive real ``base ** (1/exp)`` with rational base > 0, in normal
+    form: ``Root(Fraction(8), 3)`` has base 2 and exp 1 and equals 2.  Its
+    order is exact (``value_cmp``); it has no arithmetic of its own."""
 
     __slots__ = ("base", "exp")
 
@@ -104,67 +106,17 @@ class Root:
         self.base = base
         self.exp = exp
 
-    # -- value inspection ------------------------------------------------
-
-    def is_rational(self) -> bool:
-        return self.exp == 1
-
-    def as_fraction(self) -> Fraction | None:
-        return self.base if self.exp == 1 else None
-
     def __float__(self) -> float:
         b = self.base
         ln = math.log(b.numerator) - math.log(b.denominator)
         return math.exp(ln / self.exp)
-
-    # -- arithmetic (only what threshold algebra needs) -------------------
-
-    def pow(self, k: int):
-        """Exact value ** k as Fraction or Root."""
-        if k == 0:
-            return Fraction(1)
-        if k < 0:
-            inv = self.pow(-k)
-            return 1 / inv if isinstance(inv, Fraction) else Root(1 / inv.base, inv.exp)
-        g = math.gcd(k, self.exp)
-        out = Root(self.base ** (k // g), self.exp // g)
-        return out.as_fraction() if out.is_rational() else out
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if other <= 0:
-                raise ValueError("Root supports positive scalars only")
-            out = Root(self.base * Fraction(other) ** self.exp, self.exp)
-        elif isinstance(other, Root):
-            l = self.exp * other.exp // math.gcd(self.exp, other.exp)
-            out = Root(
-                self.base ** (l // self.exp) * other.base ** (l // other.exp), l
-            )
-        else:
-            return NotImplemented
-        return out.as_fraction() if out.is_rational() else out
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.__mul__(1 / Fraction(other))
-        if isinstance(other, Root):
-            return self * Root(1 / other.base, other.exp)
-        return NotImplemented
-
-    def __rtruediv__(self, other):
-        inv = Root(1 / self.base, self.exp)
-        return inv * other if not isinstance(other, Root) else NotImplemented
 
     # -- exact ordering ----------------------------------------------------
 
     def _cmp(self, other) -> int:
         if not isinstance(other, (int, Fraction, Root)):
             raise TypeError(f"cannot compare Root with {type(other)!r}")
-        if isinstance(other, Root) or other > 0:
-            return _power_sign(((self, 1), (other, -1)))
-        return 1
+        return value_cmp(self, other)
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction, Root)):
@@ -197,15 +149,20 @@ class Root:
 
     def enclosure(self, digits: int = DEFAULT_DIGITS) -> tuple[Fraction, Fraction]:
         """Rational interval [lo, hi] containing the value, width <= 2/10**digits."""
-        num, den = self.base.numerator, self.base.denominator
-        scale = 10 ** (digits * self.exp)
-        lo_i = integer_nth_root((num * scale) // den, self.exp)
-        hi_i = integer_nth_root(-(-(num * scale) // den), self.exp) + 1
+        lo_i, hi_i = _scaled_root_bounds(self.base, self.exp, digits)
         unit = Fraction(1, 10 ** digits)
         return lo_i * unit, hi_i * unit
 
 
 ExactValue = Fraction | Root
+
+
+def _parts(x) -> tuple[Fraction, int, bool]:
+    """x as (base, exp, is_root) with x = base ** (1/exp); is_root marks a
+    Root, whose products take positive factors only even at exp 1."""
+    if isinstance(x, Root):
+        return x.base, x.exp, True
+    return Fraction(x), 1, False
 
 
 # _power_sign divides each exponent p/k by a power of two 2^shift to r, with
@@ -224,7 +181,7 @@ def _power_sign(factors) -> int:
     Root and p an int: float logs outside the band, exact powers inside."""
     terms = []
     for x, p in factors:
-        base, k = (x.base, x.exp) if isinstance(x, Root) else (x, 1)
+        base, k, _ = _parts(x)
         a, b = base.numerator, base.denominator
         if p and a != b:
             terms.append((a, b, p, k))
@@ -252,54 +209,55 @@ def _exact_power_sign(terms) -> int:
 def make_value(base, exp: int = 1) -> ExactValue:
     """Fraction when the root collapses, Root otherwise."""
     r = Root(base, exp)
-    frac = r.as_fraction()
-    return frac if frac is not None else r
+    return r.base if r.exp == 1 else r
 
 
 def value_pow(x: ExactValue, k: int) -> ExactValue:
-    if isinstance(x, Root):
-        return x.pow(k)
-    return Fraction(x) ** k
+    base, exp, _ = _parts(x)
+    if exp == 1:
+        return base ** k
+    g = math.gcd(k, exp)
+    return make_value(base ** (k // g), exp // g)
+
+
+def _product(x: tuple, y: tuple) -> ExactValue:
+    """The product of two ``_parts`` views."""
+    (a, k, a_root), (b, l, b_root) = x, y
+    if not (a_root or b_root):
+        return a * b
+    if a <= 0 or b <= 0:
+        raise ValueError("Root supports positive scalars only")
+    m = math.lcm(k, l)
+    return make_value(a ** (m // k) * b ** (m // l), m)
 
 
 def value_mul(x: ExactValue, y: ExactValue) -> ExactValue:
-    if isinstance(x, Root):
-        return x * y
-    if isinstance(y, Root):
-        return y * x
-    return Fraction(x) * Fraction(y)
+    return _product(_parts(x), _parts(y))
 
 
 def value_div(x: ExactValue, y: ExactValue) -> ExactValue:
-    if not isinstance(x, Root) and Fraction(x) == 0:
-        # Root denominators are positive by construction
-        if not isinstance(y, Root) and Fraction(y) == 0:
+    (a, k, a_root), (b, l, b_root) = _parts(x), _parts(y)
+    if a == 0:  # only a rational is 0: Root bases are positive
+        if b == 0:
             raise ZeroDivisionError("division by zero")
         return Fraction(0)
-    if isinstance(x, Root) or isinstance(y, Root):
-        if not isinstance(x, Root):
-            x = Root(Fraction(x), 1)
-        return x / y
-    return Fraction(x) / Fraction(y)
+    return _product((a, k, a_root), (1 / b, l, b_root))
 
 
 def value_root(x: ExactValue, k: int) -> ExactValue:
     """Exact k-th root of a positive value."""
     if k < 1:
         raise ValueError("root index must be >= 1")
-    if isinstance(x, Root):
-        return make_value(x.base, x.exp * k)
-    return make_value(Fraction(x), k)
+    base, exp, _ = _parts(x)
+    return make_value(base, exp * k)
 
 
 def value_cmp(x, y) -> int:
     """Exact three-way comparison of rationals and roots."""
-    if isinstance(x, Root):
-        return x._cmp(y)
-    if isinstance(y, Root):
-        return -y._cmp(x)
-    xf, yf = Fraction(x), Fraction(y)
-    return (xf > yf) - (xf < yf)
+    (a, k, _), (b, l, _) = _parts(x), _parts(y)
+    if k == l == 1 or a <= 0 or b <= 0:
+        return (a > b) - (a < b)
+    return _power_sign(((x, 1), (y, -1)))
 
 
 def value_float(x: ExactValue) -> float:
@@ -360,46 +318,52 @@ def _format_scaled(value: int, digits: int) -> str:
     value = abs(value)
     whole, frac = divmod(value, 10 ** digits)
     if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+        return f"{sign}{_int_text(whole)}"
+    return f"{sign}{_int_text(whole)}.{_int_text(frac).zfill(digits)}"
+
+
+def _scaled_root_bounds(base: Fraction, exp: int, digits: int) -> tuple[int, int]:
+    """Integers lo < hi with lo <= 10**digits * base ** (1/exp) <= hi."""
+    num, den = base.numerator, base.denominator
+    scaled = num * 10 ** (digits * exp)
+    return integer_nth_root(scaled // den, exp), integer_nth_root(-(-scaled // den), exp) + 1
 
 
 def decimal_enclosure(x: ExactValue, digits: int = DEFAULT_DIGITS) -> tuple[str, str]:
     """Decimal strings (lo, hi) bracketing the exact value at ``digits`` places."""
     if digits < 0:
         raise ValueError("digits must be >= 0")
-    if isinstance(x, Root) and not x.is_rational():
-        lo, hi = x.enclosure(digits)
-        lo_i = lo.numerator * 10 ** digits // lo.denominator
-        hi_i = -(-hi.numerator * 10 ** digits // hi.denominator)
-        return _format_scaled(lo_i, digits), _format_scaled(hi_i, digits)
-    f = x.as_fraction() if isinstance(x, Root) else Fraction(x)
-    scaled = f * 10 ** digits
-    lo_i = scaled.numerator // scaled.denominator
-    hi_i = -(-scaled.numerator // scaled.denominator)
+    base, exp, _ = _parts(x)
+    if exp > 1:
+        lo_i, hi_i = _scaled_root_bounds(base, exp, digits)
+    else:
+        scaled = base * 10 ** digits
+        lo_i = scaled.numerator // scaled.denominator
+        hi_i = -(-scaled.numerator // scaled.denominator)
     return _format_scaled(lo_i, digits), _format_scaled(hi_i, digits)
 
 
 def format_fraction(f: Fraction) -> str:
+    """Exact text of an int or a Fraction: "a", or "a/b" in lowest terms."""
     f = Fraction(f)
     if f.denominator == 1:
-        return str(f.numerator)
-    return f"{f.numerator}/{f.denominator}"
+        return _int_text(f.numerator)
+    return f"{_int_text(f.numerator)}/{_int_text(f.denominator)}"
 
 
 def value_to_json(x: ExactValue, digits: int = DEFAULT_DIGITS):
     """JSON-ready form: exact string for rationals, base/exp object for roots."""
-    if isinstance(x, Root) and not x.is_rational():
-        lo, hi = decimal_enclosure(x, digits)
-        return {
-            "kind": "root",
-            "base": format_fraction(x.base),
-            "exp": x.exp,
-            "decimal_lo": lo,
-            "decimal_hi": hi,
-        }
-    f = x.as_fraction() if isinstance(x, Root) else Fraction(x)
-    return format_fraction(f)
+    base, exp, _ = _parts(x)
+    if exp == 1:
+        return format_fraction(base)
+    lo, hi = decimal_enclosure(x, digits)
+    return {
+        "kind": "root",
+        "base": format_fraction(base),
+        "exp": exp,
+        "decimal_lo": lo,
+        "decimal_hi": hi,
+    }
 
 
 # -- parsing ---------------------------------------------------------------

@@ -36,7 +36,7 @@ generator's end state differs, and each trial's stream is derived for it
 alone and dropped afterwards.
 
 Import layers: this module loads ``util``, ``graphs``, ``counting`` and
-``exact``.  The generators import ``expectation`` (for ``is_q_sparse``)
+``exact``.  The generators import ``expectation`` (for its sparsity check)
 when they run, ``trace_csv`` renders through ``util.csv_text``, and the
 result records are ``util.Record``s, so ``kklab pc`` starts up without
 the subset-scan layer, ``csv`` or ``dataclasses``.
@@ -329,19 +329,6 @@ def estimate_pc(plan: TrialPlan, threads: int = 1) -> EstimateResult:
 # -- certified sparse instance generators ------------------------------------------
 
 
-def _reject_if_dense(h: Graph, n: int, q, family: str) -> Graph:
-    from .expectation import is_q_sparse
-
-    check = is_q_sparse(h, n, q)
-    if not check.sparse:
-        raise PreconditionError(
-            f"{family} instance is not q-sparse at n={n}: subgraph "
-            f"{check.witness_edges} has expectation below 1",
-            witness=check.witness_edges,
-        )
-    return h
-
-
 def _repair_edge(g: Graph, witness_edges: tuple) -> tuple:
     # degree measured inside the witness: violations are density driven,
     # so peel where the witness is thickest; ties go to the smallest edge
@@ -443,4 +430,8 @@ def generate_sparse(
         raise PreconditionError(
             f"unknown family {family!r}; choose from {GENERATOR_FAMILIES}"
         )
-    return _reject_if_dense(builder(n, rng, params), n, q, family)
+    from .expectation import _require_sparse
+
+    host = builder(n, rng, params)
+    _require_sparse(host, n, q)
+    return host

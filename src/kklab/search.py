@@ -29,6 +29,7 @@ from .util import (
     EdgeCapError,  # re-exported from its old home
     PreconditionError,
     Record,
+    _int_text,
     iter_bits,
 )
 
@@ -121,7 +122,7 @@ class SweepResult(Record):
         return {
             "graph6": to_graph6(self.graph),
             "score_enclosure": list(self.enclosure),
-            "N": str(self.copies),
+            "N": _int_text(self.copies),
             "E_q": value_to_json(self.expectation, self.digits),
             "candidates": self.candidates,
             "sparse_candidates": self.sparse_candidates,
@@ -204,7 +205,7 @@ class LeaderboardEntry(Record):
         return {
             "graph6": to_graph6(self.graph),
             "score_enclosure": list(self.enclosure),
-            "N": str(self.copies),
+            "N": _int_text(self.copies),
             "E_q": value_to_json(self.expectation, self.digits),
             "moves": self.moves,
             "seed": self.seed,

@@ -3,7 +3,9 @@
 Besides bit iteration, the one CSV writer and ``Record``, the frozen-record
 base that ``Graph`` and every result type are built on, this module holds
 the refusal types every layer may raise (``PreconditionError``,
-``EdgeCapError`` and ``ResourceGuardError``) and the defaults and limits
+``EdgeCapError`` and ``ResourceGuardError``), the one text of an exact
+integer a report prints (``_int_text``, which refuses an integer past the
+interpreter's integer-to-string digit limit), and the defaults and limits
 the CLI states: the enclosure precision and root-exponent cap of
 ``exact``, the subset-scan caps of ``expectation``, the Monte Carlo
 defaults and generator families of ``montecarlo``, and the annealer and
@@ -51,6 +53,17 @@ class EdgeCapError(RuntimeError):
 
 class ResourceGuardError(RuntimeError):
     """Work refused because it would exceed a configured resource budget."""
+
+
+def _int_text(value: int) -> str:
+    """str(value) for an exact integer a report prints, refused with
+    ResourceGuardError past the interpreter's digit limit for it."""
+    try:
+        return str(value)
+    except ValueError:  # the only ValueError str(int) raises
+        raise ResourceGuardError(
+            f"an exact integer exceeds the {sys.get_int_max_str_digits()}-digit output limit"
+        ) from None
 
 
 # from Python 3.14 a class body compiled without ``from __future__ import

@@ -30,6 +30,7 @@ from .exact import (
     _power_sign,
     ceil_root,
     cmp_with_e_power,
+    format_fraction,
     value_cmp,
     value_div,
     value_float,
@@ -39,7 +40,7 @@ from .exact import (
 )
 from .expectation import _require_sparse, expected_copies, required_L
 from .graphs import Graph, _span_mask, max_density, to_graph6
-from .util import PreconditionError, Record, iter_bits
+from .util import PreconditionError, Record, _int_text, iter_bits
 
 
 class PropositionReport(Record):
@@ -103,7 +104,7 @@ def verify_structure(H: Graph, n: int, q) -> list:
         PropositionReport(
             prop_id="max-degree-bound",
             inputs=inputs,
-            lhs=str(delta),
+            lhs=_int_text(delta),
             rhs=f"max(log2({n}), 2*e*{n}*q) ~ "
             f"{max(math.log2(n), 2 * math.e * value_float(n) * value_float(q)):.6g}",
             verdict=log_ok or lin_ok,
@@ -141,7 +142,7 @@ def verify_structure(H: Graph, n: int, q) -> list:
         PropositionReport(
             prop_id="edge-count-log-bound",
             inputs=inputs,
-            lhs=str(e_h),
+            lhs=_int_text(e_h),
             rhs=f"{n}*log2({n}) ~ {value_float(n) * math.log2(n):.6g}",
             verdict=_power_exceeds_one(n, n, Fraction(1, 2), e_h),
             note=regime_note,
@@ -153,7 +154,7 @@ def verify_structure(H: Graph, n: int, q) -> list:
         PropositionReport(
             prop_id="edge-count-ratio-bound",
             inputs=inputs,
-            lhs=str(e_h),
+            lhs=_int_text(e_h),
             rhs="n/c with q = n^-c",
             verdict=edge_ratio_ok,
         )
@@ -184,7 +185,7 @@ def _packing_report(H: Graph, J: Graph, n: int, q, copy_cap, node_budget) -> Pro
     return PropositionReport(
         prop_id="packing-expectation-bound",
         inputs=inputs,
-        lhs=str(nu),
+        lhs=_int_text(nu),
         rhs=f"e * E_qX_J ~ {math.e * value_float(expectation):.6g}",
         verdict=verdict,
     )
@@ -387,8 +388,8 @@ def verify_fit_partition(H: Graph, F: Graph, eps, d, node_budget=None) -> Propos
             "eps": str(eps),
             "d": str(d),
         },
-        lhs=str(labeled),
-        rhs=str(total),
+        lhs=_int_text(labeled),
+        rhs=_int_text(total),
         verdict=labeled == total,
         witness={"classes": table},
     )
@@ -534,12 +535,12 @@ def verify_main_inequality(
     verdict = value_cmp(Fraction(req.copies), rhs) < 0
     inputs = _base_inputs(H, n, q)
     inputs["pattern6"] = to_graph6(F)
-    inputs["L"] = str(L)
+    inputs["L"] = format_fraction(L)
     lo, hi = req.enclosure
     return PropositionReport(
         prop_id="main-inequality",
         inputs=inputs,
-        lhs=str(req.copies),
+        lhs=_int_text(req.copies),
         rhs=f"L^{F.edge_count} * E_qX_F ~ {value_float(rhs):.6g}",
         verdict=verdict,
         witness={"required_L": [lo, hi]},

@@ -12,6 +12,7 @@ the new cases in-process, at their boundaries.
 
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -21,7 +22,7 @@ from pathlib import Path
 import pytest
 
 from kklab.counting import DEFAULT_NODE_BUDGET, ResourceGuardError
-from kklab.exact import Root, parse_exact, value_float
+from kklab.exact import Root, format_fraction, parse_exact, value_float
 from kklab.graphs import complete_graph, empty_graph, max_density
 from kklab.montecarlo import TrialPlan, _gnp_plan, estimate_pc
 from kklab.util import ROOT_EXPONENT_CAP, PreconditionError
@@ -30,6 +31,11 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 BIG = "1" + "0" * 400  # 10^400, past the float range
 TINY = f"1/{BIG}"
 ROOT_HUGE = "root:2:1000000"  # a root exponent exact arithmetic cannot finish
+# past sys.get_int_max_str_digits() (4300 by default) once printed exactly:
+# q_min(K3, 10^2000) has the base 6/(n)_3 and E[X_K4] at n = 10^1100 about
+# n^4/1536, each over 4,400 digits
+N2000 = "1" + "0" * 2000
+N1100 = "1" + "0" * 1100
 
 CASES = [
     # root exponents past util.ROOT_EXPONENT_CAP: refused before any power
@@ -47,6 +53,11 @@ CASES = [
     (0, f"search --pattern K3 --n {BIG} --q 1/2 --budget 5"),
     # a library refusal exits 2
     (2, "density --graph empty0"),
+    (2, "gen --family clique-union --sizes 5 --n 10 --q 1/10"),
+    # an exact number too long to print is a resource refusal
+    (3, f"qmin --graph K3 --n {N2000}"),
+    (3, f"expect --pattern K4 --n {N1100} --p 1/2"),
+    (3, "qmin --graph K3 --n 10 --precision 5000"),
     # G(n,p) samples too large to draw
     (3, "pc --pattern K3 --n 1000000 --trials 10"),
     (3, "gen --family gnp-repair --vertices 100000 --n 100000 --q 1/2"),
@@ -93,7 +104,9 @@ def _limit_memory():
 
 
 @pytest.mark.parametrize(
-    "code, line", CASES, ids=[line.replace(BIG, "10^400") for _, line in CASES]
+    "code, line",
+    CASES,
+    ids=[re.sub(r"10{400,}", lambda m: f"10^{len(m[0]) - 1}", line) for _, line in CASES],
 )
 def test_exit_code(code, line):
     env = dict(os.environ)
@@ -122,6 +135,14 @@ class TestLibraryRefusals:
         assert value_float(-big / 3) == -math.inf
         assert value_float(Root(big**2, 2)) == math.inf
         assert value_float(1 / big) == 0.0
+
+    def test_integer_past_the_digit_limit(self):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("this interpreter sets no integer-to-string digit limit")
+        assert format_fraction(10 ** (limit - 1)) == "1" + "0" * (limit - 1)
+        with pytest.raises(ResourceGuardError, match=f"{limit}-digit"):
+            format_fraction(Fraction(1, 10**limit))
 
     def test_gnp_sample_cap(self):
         # C(1449, 2) = 1,049,076 pairs, past 2^20 = 1,048,576

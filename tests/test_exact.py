@@ -1,6 +1,7 @@
 """Exact arithmetic: root values, enclosures, comparisons, parsing, JSON."""
 
 import math
+import random
 import time
 from fractions import Fraction
 
@@ -287,3 +288,173 @@ class TestJson:
     def test_format_fraction(self):
         assert format_fraction(Fraction(1, 3)) == "1/3"
         assert format_fraction(Fraction(4, 2)) == "2"
+
+
+# -- an oracle for the algebra -------------------------------------------------
+#
+# Every value_* function on a seeded grid of ints, Fractions and Roots,
+# against a reference on integer cross-multiplication.  A value is viewed as
+# (num, den, exp, is_root) for (num/den)^(1/exp), den > 0; a reference result
+# is a Fraction, a (base, exp) pair for a Root in normal form, or the
+# exception type the call raises.
+
+
+def _view(x):
+    if isinstance(x, Root):
+        return x.base.numerator, x.base.denominator, x.exp, True
+    f = Fraction(x)
+    return f.numerator, f.denominator, 1, False
+
+
+def _exact_root(x: int, k: int):
+    """r with r**k == x for x >= 0 by bisection, else None."""
+    lo, hi = 0, 1
+    while hi**k < x:
+        hi *= 2
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if mid**k < x:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo if lo**k == x else None
+
+
+def _normal(num: int, den: int, exp: int):
+    """(num/den)^(1/exp) for positive num, den at the least e with value^e
+    rational: the Fraction itself at e = 1, else the pair (value^e, e)."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    for e in range(1, exp + 1):
+        if exp % e:
+            continue
+        rn, rd = _exact_root(num, exp // e), _exact_root(den, exp // e)
+        if rn is not None and rd is not None:
+            return Fraction(rn, rd) if e == 1 else (Fraction(rn, rd), e)
+
+
+def _ref_mul(x, y):
+    a, b, k, x_root = x
+    c, d, l, y_root = y
+    if not (x_root or y_root):
+        return Fraction(a * c, b * d)
+    if a <= 0 or c <= 0:
+        return ValueError
+    m = k * l // math.gcd(k, l)
+    return _normal(a ** (m // k) * c ** (m // l), b ** (m // k) * d ** (m // l), m)
+
+
+def _ref_div(x, y):
+    a, b, k, x_root = x
+    c, d, l, y_root = y
+    if a == 0:
+        return ZeroDivisionError if c == 0 else Fraction(0)
+    if c == 0:
+        return ZeroDivisionError
+    # 1/y is (d/c)^(1/l) with the sign moved to the numerator
+    return _ref_mul(x, (d if c > 0 else -d, abs(c), l, y_root))
+
+
+def _ref_pow(x, j):
+    a, b, k, _ = x
+    if a == 0 and j < 0:
+        return ZeroDivisionError
+    num, den = (a**j, b**j) if j >= 0 else (b**-j, a**-j)
+    if k == 1:
+        return Fraction(num, den)
+    return _normal(num, den, k)
+
+
+def _ref_root(x, j):
+    a, b, k, _ = x
+    if j < 1 or a <= 0:
+        return ValueError
+    return _normal(a, b, k * j)
+
+
+def _ref_cmp(x, y):
+    a, b, k, _ = x
+    c, d, l, _ = y
+    if a <= 0 or c <= 0:
+        # a non-positive value is rational; a/b and x have the same sign
+        lhs, rhs = a * d, c * b
+    else:
+        m = k * l // math.gcd(k, l)
+        lhs, rhs = a ** (m // k) * d ** (m // l), c ** (m // l) * b ** (m // k)
+    return (lhs > rhs) - (lhs < rhs)
+
+
+def _outcome(fn, *args):
+    """fn's result in the reference's terms: the exception type raised, or
+    the value, with a Root above exp 1 as its (base, exp) pair."""
+    try:
+        out = fn(*args)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc)
+    if isinstance(out, Root) and out.exp > 1:
+        return out.base, out.exp
+    return out  # a Root at exp 1 matches no reference result
+
+
+def _algebra_grid():
+    rng = random.Random(33)
+    ints = [0, 1, -1, 2, -3, 12]
+    fracs = [Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(9, 4), Fraction(5, 7)]
+    roots = [
+        Root(Fraction(2), 2),
+        Root(Fraction(1, 3), 3),
+        Root(Fraction(4), 6),  # 2^(1/3)
+        Root(Fraction(27, 8), 6),  # (3/2)^(1/2)
+        Root(Fraction(5), 5),
+        Root(Fraction(7, 2), 4),
+        Root(Fraction(8, 27), 3),  # 2/3: the exponent collapses to 1
+    ]
+    for _ in range(6):
+        base = Fraction(rng.randint(1, 12), rng.randint(1, 12)) ** rng.choice([1, 1, 2, 3])
+        roots.append(Root(base, rng.randint(1, 6)))
+    fracs += [Fraction(rng.randint(-20, 20), rng.randint(1, 20)) for _ in range(3)]
+    return ints + fracs + roots
+
+
+ALGEBRA_GRID = _algebra_grid()
+
+
+class TestAlgebraOracle:
+    """value_* on the grid give the reference's value, in the reference's
+    shape (a Fraction when rational, a Root in normal form otherwise), or
+    raise the exception type the reference names."""
+
+    def test_the_grid_covers_each_case(self):
+        views = [_view(x) for x in ALGEBRA_GRID]
+        assert {k for _, _, k, _ in views} >= set(range(1, 7))
+        assert any(root and k == 1 for _, _, k, root in views)
+        assert any(a == 0 for a, *_ in views) and any(a < 0 for a, *_ in views)
+
+    @pytest.mark.parametrize(
+        "name, fn, ref",
+        [("mul", value_mul, _ref_mul), ("div", value_div, _ref_div), ("cmp", value_cmp, _ref_cmp)],
+    )
+    def test_binary(self, name, fn, ref):
+        bad = []
+        for x in ALGEBRA_GRID:
+            for y in ALGEBRA_GRID:
+                got, want = _outcome(fn, x, y), ref(_view(x), _view(y))
+                if got != want or type(got) is not type(want):
+                    bad.append((x, y, got, want))
+        assert not bad, bad[:5]
+
+    @pytest.mark.parametrize(
+        "name, fn, ref, exponents",
+        [
+            ("pow", value_pow, _ref_pow, range(-3, 5)),
+            ("root", value_root, _ref_root, range(0, 5)),
+        ],
+    )
+    def test_unary(self, name, fn, ref, exponents):
+        bad = []
+        for x in ALGEBRA_GRID:
+            for j in exponents:
+                got, want = _outcome(fn, x, j), ref(_view(x), j)
+                if got != want or type(got) is not type(want):
+                    bad.append((x, j, got, want))
+        assert not bad, bad[:5]
